@@ -1,6 +1,6 @@
 //! Throughput scaling of the deterministic parallel campaign engine,
 //! plus the bounded-memory streaming series (`campaign_memory`): peak
-//! RSS of a `run_streamed` campaign must stay flat as the grid grows,
+//! RSS of a streamed (`CampaignGrid::stream`) campaign must stay flat as the grid grows,
 //! and each record carries `peak_rss_kib` so bench-diff guards the
 //! ceiling across commits.
 //!
@@ -23,7 +23,7 @@ use hh_bench::harness::{quick, BatchSize, Criterion};
 use hh_bench::{criterion_group, criterion_main};
 use hyperhammer::driver::DriverParams;
 use hyperhammer::machine::Scenario;
-use hyperhammer::parallel::{CampaignGrid, CellResult};
+use hyperhammer::parallel::{CampaignGrid, CellResult, RunOpts};
 use hyperhammer::streamref::{merge_shards, CampaignAggregate, CampaignStreamer};
 use std::hint::black_box;
 
@@ -125,7 +125,7 @@ fn run_streamed_discard(grid: &CampaignGrid, jobs: NonZeroUsize, dir: &std::path
     };
     let fmt_trace: Fmt = |_, _| {};
     let consumers = grid
-        .run_streamed(jobs, |worker| {
+        .stream(&RunOpts::new(jobs), |worker| {
             CampaignStreamer::new(dir, worker, false, fmt_cell, fmt_trace)
         })
         .expect("streamed grid runs");

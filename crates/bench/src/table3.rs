@@ -17,9 +17,10 @@
 
 use std::num::NonZeroUsize;
 
+use hh_trace::TraceSink;
 use hyperhammer::driver::DriverParams;
 use hyperhammer::machine::{AttackVariant, Scenario};
-use hyperhammer::parallel::{CampaignGrid, CellResult};
+use hyperhammer::parallel::{CampaignGrid, CellConsumer, CellResult, RunOpts};
 use hyperhammer::steering::RetryPolicy;
 
 /// One row of Table 3.
@@ -106,20 +107,32 @@ pub fn run_grid(
         ..DriverParams::paper()
     };
     let grid = CampaignGrid::new(scenarios, params, max_attempts).with_seeds(seeds.to_vec());
-    let results = grid
-        .run_with_progress(jobs, |cell| {
-            eprintln!(
-                "  [{} seed {:#x}] {} attempts, first success: {}",
-                cell.scenario,
-                cell.seed,
-                cell.stats.attempts.len(),
-                cell.stats
-                    .first_success()
-                    .map_or("none".to_string(), |n| n.to_string()),
-            );
-        })
+    let consumers = grid
+        .stream(&RunOpts::new(jobs), |_| ProgressRows(Vec::new()))
         .expect("campaign grid runs");
-    results.iter().map(Table3Row::from).collect()
+    let mut rows: Vec<(usize, Table3Row)> = consumers.into_iter().flat_map(|c| c.0).collect();
+    rows.sort_by_key(|(index, _)| *index);
+    rows.into_iter().map(|(_, row)| row).collect()
+}
+
+/// Per-worker consumer behind [`run_grid`]: logs each cell to stderr as
+/// it finishes (scheduling order, liveness only) and keeps its row.
+struct ProgressRows(Vec<(usize, Table3Row)>);
+
+impl CellConsumer for ProgressRows {
+    fn consume(&mut self, index: usize, cell: CellResult) -> std::io::Result<Option<TraceSink>> {
+        eprintln!(
+            "  [{} seed {:#x}] {} attempts, first success: {}",
+            cell.scenario,
+            cell.seed,
+            cell.stats.attempts.len(),
+            cell.stats
+                .first_success()
+                .map_or("none".to_string(), |n| n.to_string()),
+        );
+        self.0.push((index, Table3Row::from(&cell)));
+        Ok(None)
+    }
 }
 
 /// Prints the table.

@@ -1,10 +1,9 @@
 //! Subcommand implementations.
 
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use hh_dram::dramdig::recover;
 use hh_dram::timing::{AccessTiming, TimingProbe};
@@ -15,12 +14,12 @@ use hh_trace::{Counter, Metrics, Stage, TraceMode};
 use hyperhammer::driver::{AttackDriver, AttemptOutcome, DriverParams};
 use hyperhammer::machine::{AttackVariant, Scenario};
 use hyperhammer::parallel::{
-    resolve_jobs, CampaignGrid, CancelToken, CellConsumer, CellResult, StreamError,
+    resolve_jobs, CampaignGrid, CancelToken, CellConsumer, CellResult, RunOpts, StreamError,
 };
 use hyperhammer::profile::{ProfileParams, Profiler};
 use hyperhammer::steering::PageSteering;
 use hyperhammer::streamref::{merge_shards, CampaignAggregate, CampaignStreamer};
-use hyperhammer::{JobSpec, MachineTemplate};
+use hyperhammer::{CellLog, JobSpec};
 
 use crate::opts::{ClientAction, Command, FaultOpts, Options};
 use crate::output::{
@@ -636,7 +635,7 @@ fn campaign_streamed(
     let fmt_cell = campaign_cell_line as fn(&CellResult, &mut String);
     let fmt_trace = fmt_trace_lines as fn(&CellResult, &mut String);
 
-    let consumers = grid.run_streamed(jobs, |worker| {
+    let consumers = grid.stream(&RunOpts::new(jobs), |worker| {
         CampaignStreamer::new(&dir, worker, trace_on, fmt_cell, fmt_trace)
     })?;
 
@@ -725,34 +724,15 @@ fn campaign_streamed(
 }
 
 /// First line of a campaign checkpoint file. The rest is the job-spec
-/// JSON header followed by one `index\tcell-json` record per completed
-/// cell, appended (and fsynced every `--checkpoint-every` records) as
-/// cells finish — a kill at any point leaves a loadable prefix.
+/// JSON header followed by a [`CellLog`] of `index\tcell-json` records,
+/// one per completed cell, appended (and fsynced every
+/// `--checkpoint-every` records) as cells finish — a kill at any point
+/// leaves a loadable prefix.
 const CKPT_MAGIC: &str = "hyperhammer-ckpt-v1";
-
-/// The checkpoint file plus its flush cadence, shared by every worker's
-/// [`CheckpointSink`] under one lock.
-struct CkFile {
-    file: File,
-    since_sync: usize,
-    every: usize,
-}
-
-impl CkFile {
-    fn append(&mut self, record: &str) -> std::io::Result<()> {
-        self.file.write_all(record.as_bytes())?;
-        self.since_sync += 1;
-        if self.since_sync >= self.every {
-            self.file.sync_data()?;
-            self.since_sync = 0;
-        }
-        Ok(())
-    }
-}
 
 /// State shared by the per-worker checkpoint consumers.
 struct CkShared {
-    file: Mutex<CkFile>,
+    log: CellLog,
     /// Cells newly completed by this run (resumed cells not included).
     completed: AtomicUsize,
     stop_after: Option<usize>,
@@ -760,7 +740,7 @@ struct CkShared {
 }
 
 /// Per-worker consumer for checkpointed runs: appends each finished
-/// cell's record to the shared checkpoint file and keeps the NDJSON
+/// cell's record to the shared checkpoint log and keeps the NDJSON
 /// line for the final grid-order merge.
 struct CheckpointSink<'a> {
     ck: &'a CkShared,
@@ -775,12 +755,7 @@ impl CellConsumer for CheckpointSink<'_> {
     ) -> std::io::Result<Option<hh_trace::TraceSink>> {
         let mut line = String::new();
         campaign_cell_line(&result, &mut line);
-        let record = format!("{index}\t{}", line);
-        self.ck
-            .file
-            .lock()
-            .expect("checkpoint poisoned")
-            .append(&record)?;
+        self.ck.log.append(index, &line)?;
         self.lines.push((index, line));
         let newly = self.ck.completed.fetch_add(1, Ordering::SeqCst) + 1;
         if self.ck.stop_after.is_some_and(|k| newly >= k) {
@@ -794,44 +769,29 @@ impl CellConsumer for CheckpointSink<'_> {
 /// index, the NDJSON line of every already-completed cell.
 type Checkpoint = (JobSpec, Vec<Option<String>>);
 
-/// Loads a checkpoint file written by `campaign --checkpoint`.
+/// Loads a checkpoint file written by `campaign --checkpoint`. A torn
+/// final record is dropped (that cell re-runs); any other bad record
+/// makes the whole checkpoint an error.
 fn load_checkpoint(path: &str) -> Result<Checkpoint, Box<dyn std::error::Error>> {
     let text = std::fs::read_to_string(path)?;
-    let lines: Vec<&str> = text.split('\n').collect();
-    if lines.first().copied() != Some(CKPT_MAGIC) {
+    let mut parts = text.splitn(3, '\n');
+    if parts.next() != Some(CKPT_MAGIC) {
         return Err(format!("{path} is not a {CKPT_MAGIC} checkpoint").into());
     }
-    let spec_line = lines
-        .get(1)
+    let spec_line = parts
+        .next()
         .filter(|l| !l.is_empty())
         .ok_or_else(|| format!("{path} has no job-spec header"))?;
     let spec = hh_server::json::job_spec_from_json(spec_line)?;
     spec.validate()?;
-    let cells = spec.cell_count();
-    let mut done: Vec<Option<String>> = vec![None; cells];
-    let records = &lines[2..];
-    for (pos, raw) in records.iter().enumerate() {
-        if raw.is_empty() {
-            continue;
-        }
-        let parsed = raw.split_once('\t').and_then(|(index, json)| {
-            index
-                .parse::<usize>()
-                .ok()
-                .filter(|i| *i < cells)
-                .map(|i| (i, json))
-        });
-        match parsed {
-            Some((index, json)) => done[index] = Some(format!("{json}\n")),
-            // A kill mid-append can tear the final record; everything
-            // before it is intact, so drop it and re-run that cell.
-            None if pos + 1 == records.len() => {
-                eprintln!("checkpoint: ignoring torn final record in {path}");
-            }
-            None => return Err(format!("corrupt checkpoint record at {path}:{}", pos + 3).into()),
-        }
+    let records = CellLog::parse(parts.next().unwrap_or(""), 2, spec.cell_count());
+    if let Some(line) = records.corrupt.first() {
+        return Err(format!("corrupt checkpoint record at {path}:{line}").into());
     }
-    Ok((spec, done))
+    if records.torn {
+        eprintln!("checkpoint: ignoring torn final record in {path}");
+    }
+    Ok((spec, records.lines))
 }
 
 /// The checkpointed campaign path: every finished cell is appended to
@@ -877,32 +837,24 @@ fn campaign_checkpointed(
     }
 
     let shared = CkShared {
-        file: Mutex::new(CkFile {
-            file: OpenOptions::new().append(true).open(&path)?,
-            since_sync: 0,
-            every,
-        }),
+        log: CellLog::open(path.as_ref(), every)?,
         completed: AtomicUsize::new(0),
         stop_after: stop_after_cells,
         cancel: CancelToken::new(),
     };
-    let templates = grid.scenario_templates();
-    let refs: Vec<&MachineTemplate> = templates.iter().collect();
     let done_mask: Vec<bool> = lines.iter().map(Option::is_some).collect();
-    let outcome = grid.run_streamed_resume(
-        jobs,
-        &refs,
-        &shared.cancel,
-        &|index| done_mask[index],
-        |_| CheckpointSink {
-            ck: &shared,
-            lines: Vec::new(),
-        },
-    );
-    let sync = || -> std::io::Result<()> { self_sync(&shared) };
+    let run_opts = RunOpts {
+        cancel: Some(&shared.cancel),
+        skip: Some(&|index| done_mask[index]),
+        ..RunOpts::new(jobs)
+    };
+    let outcome = grid.stream(&run_opts, |_| CheckpointSink {
+        ck: &shared,
+        lines: Vec::new(),
+    });
     match outcome {
         Ok(consumers) => {
-            sync()?;
+            shared.log.sync()?;
             for sink in consumers {
                 for (index, line) in sink.lines {
                     lines[index] = Some(line);
@@ -929,7 +881,7 @@ fn campaign_checkpointed(
         // expected outcome, announced on stderr so stdout never carries
         // an incomplete NDJSON stream.
         Err(StreamError::Cancelled) if stop_after_cells.is_some() => {
-            sync()?;
+            shared.log.sync()?;
             let newly = shared.completed.load(Ordering::SeqCst);
             eprintln!(
                 "campaign: stopped after {newly} new cells ({}/{} checkpointed) — \
@@ -941,13 +893,6 @@ fn campaign_checkpointed(
         }
         Err(e) => Err(e.into()),
     }
-}
-
-/// Final fsync of the checkpoint file, regardless of flush cadence.
-fn self_sync(shared: &CkShared) -> std::io::Result<()> {
-    let mut ck = shared.file.lock().expect("checkpoint poisoned");
-    ck.since_sync = 0;
-    ck.file.sync_data()
 }
 
 /// Writes the merged NDJSON event stream for a campaign run.

@@ -192,3 +192,102 @@ fn seed_changes_results_deterministically() {
     ])
     .unwrap();
 }
+
+/// Runs the real binary, asserting it succeeds; returns its stdout.
+fn sim_stdout(args: &[&str]) -> Vec<u8> {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hyperhammer-sim"))
+        .args(args)
+        .output()
+        .expect("run hyperhammer-sim");
+    assert!(
+        out.status.success(),
+        "hyperhammer-sim {args:?} failed: {out:?}"
+    );
+    out.stdout
+}
+
+/// The small grid the checkpoint-format tests run.
+const CKPT_GRID: [&str; 11] = [
+    "campaign",
+    "--scenarios",
+    "micro",
+    "--seeds",
+    "3",
+    "--attempts",
+    "2",
+    "--bits",
+    "2",
+    "--json",
+    "--jobs",
+];
+
+/// A checkpoint torn mid-record (a kill during an append) resumes to
+/// NDJSON byte-identical to an uninterrupted run, and a corrupt record
+/// before the final one is refused with its file line number.
+#[test]
+fn torn_checkpoint_resumes_and_corrupt_record_is_refused() {
+    let dir = std::env::temp_dir().join(format!("hh-cli-torn-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let reference = sim_stdout(&[&CKPT_GRID[..], &["1"]].concat());
+
+    let torn = dir.join("torn.ckpt");
+    let torn_path = torn.to_str().expect("utf-8 temp path");
+    sim_stdout(&[&CKPT_GRID[..], &["2", "--checkpoint", torn_path]].concat());
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&torn)
+        .expect("open checkpoint");
+    let len = file.metadata().expect("stat checkpoint").len();
+    file.set_len(len - 5).expect("tear the last record");
+    drop(file);
+    let resumed = sim_stdout(&["campaign", "--resume", torn_path, "--jobs", "2", "--json"]);
+    assert_eq!(
+        String::from_utf8(resumed).expect("UTF-8"),
+        String::from_utf8(reference).expect("UTF-8"),
+        "resuming a torn checkpoint must reproduce the uninterrupted bytes"
+    );
+    assert_eq!(
+        checkpoint_records(&torn).len(),
+        3,
+        "the re-run cell replaces the torn record"
+    );
+
+    // Line 3 is the first record, after the magic and job-spec lines.
+    let text = std::fs::read_to_string(&torn).expect("checkpoint readable");
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines[2] = "not a record";
+    let corrupt = dir.join("corrupt.ckpt");
+    std::fs::write(&corrupt, lines.join("\n") + "\n").expect("write corrupt checkpoint");
+    let corrupt_path = corrupt.to_str().expect("utf-8 temp path");
+    let err = run(&["campaign", "--resume", corrupt_path]).unwrap_err();
+    assert!(
+        err.contains(&format!("corrupt checkpoint record at {corrupt_path}:3")),
+        "got: {err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The committed `ckpt-v1` fixture, written by an earlier revision's
+/// `campaign --checkpoint ... --stop-after-cells 2` over [`CKPT_GRID`],
+/// still resumes to the uninterrupted run's bytes.
+#[test]
+fn committed_ckpt_v1_fixture_still_resumes() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/ckpt-v1.ckpt"
+    );
+    let dir = std::env::temp_dir().join(format!("hh-cli-fixture-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    // Resuming appends, so work on a copy.
+    let copy = dir.join("ckpt-v1.ckpt");
+    std::fs::copy(fixture, &copy).expect("copy fixture");
+    let reference = sim_stdout(&[&CKPT_GRID[..], &["1"]].concat());
+    let copy_path = copy.to_str().expect("utf-8 temp path");
+    let resumed = sim_stdout(&["campaign", "--resume", copy_path, "--json"]);
+    assert_eq!(
+        String::from_utf8(resumed).expect("UTF-8"),
+        String::from_utf8(reference).expect("UTF-8"),
+        "a ckpt-v1 checkpoint must resume byte-identically"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -29,7 +29,8 @@
 //! paper leaves to future work, [`machine`] provides the S1/S2/S3
 //! evaluation presets, and [`snapshot`] serializes mid-campaign machines
 //! to the versioned `hyperhammer-snap-v1` format for checkpoint/resume
-//! and copy-on-write forking.
+//! and copy-on-write forking. [`cell_log`] is the durable per-cell record
+//! log behind CLI checkpoints and the campaign server's spool.
 //!
 //! # Quickstart
 //!
@@ -53,6 +54,7 @@
 
 pub mod analysis;
 pub mod balloon_steering;
+pub mod cell_log;
 pub mod driver;
 pub mod exploit;
 pub mod jobspec;
@@ -65,11 +67,12 @@ pub mod streamref;
 pub mod template;
 
 pub use balloon_steering::BalloonSteering;
+pub use cell_log::{CellLog, CellRecords};
 pub use driver::{AttackDriver, AttemptOutcome, CampaignStats};
 pub use exploit::{EscapeProof, Exploiter};
 pub use jobspec::JobSpec;
 pub use machine::{AttackVariant, Scenario};
-pub use parallel::{CampaignGrid, CancelToken, CellResult};
+pub use parallel::{CampaignGrid, CancelToken, CellResult, RunOpts};
 pub use profile::{FlipCatalog, ProfileReport, ProfileTables, Profiler};
 pub use snapshot::{Machine, SNAP_MAGIC, SNAP_VERSION};
 pub use steering::{PageSteering, RetryPolicy};

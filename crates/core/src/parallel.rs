@@ -7,36 +7,49 @@
 //! stream descends from the cell's own seed, so running them on worker
 //! threads changes wall-clock time and nothing else.
 //!
+//! Every grid run goes through one method, [`CampaignGrid::stream`]:
+//!
+//! * [`RunOpts`] says how to run — the worker count, optional
+//!   caller-owned per-scenario templates (the campaign server keeps them
+//!   warm across jobs), an optional [`CancelToken`] and an optional
+//!   `skip(index)` predicate (checkpoint resume).
+//! * Each worker folds the cells it finishes into its own
+//!   [`CellConsumer`], in that worker's scheduling order, so a run holds
+//!   O(workers) state. Consumers spill shards
+//!   ([`streamref`](crate::streamref)), append to a
+//!   [`CellLog`](crate::CellLog), publish lines, or simply collect.
+//! * [`CampaignGrid::run`] is the collecting consumer: it scatters every
+//!   result into grid order, so in-memory and streamed output come from
+//!   the same path. [`CampaignGrid::run_serial`] stays a plain loop — the
+//!   independent reference the tests compare against.
+//!
 //! Two properties make the engine *deterministic*, not merely parallel:
 //!
 //! 1. **Seed splitting.** Cell seeds come from
 //!    [`SimRng::split_seed`]`(base, index)` — a pure function of the grid's
 //!    base seed and the cell's position, never of worker count or
 //!    scheduling order.
-//! 2. **Indexed results.** Workers claim work through chunked
-//!    work-stealing deques but each result lands in its item's own
-//!    slot, so the output vector is always in grid order. A 1-worker
-//!    run and an 8-worker run of the same grid return bit-identical
-//!    [`CampaignStats`].
+//! 2. **Indexed results.** Every cell reaches its consumer with its grid
+//!    index, and every failure and panic is reported by lowest grid
+//!    index, so a 1-worker run and an 8-worker run of the same grid
+//!    produce bit-identical [`CampaignStats`].
 //!
 //! Scheduling is *work-stealing*: every worker starts with its own
 //! deque of index chunks and, once drained, steals whole chunks from
 //! the back of its neighbours' deques. Stragglers (a cell whose
-//! campaign runs long) therefore no longer serialize the tail of the
-//! grid the way a static split would, and the deterministic-output
-//! guarantee is untouched because *which worker* runs a cell never
-//! influences *what the cell computes*.
+//! campaign runs long) therefore never serialize the tail of the grid
+//! the way a static split would, and *which worker* runs a cell never
+//! influences *what the cell computes*. One worker runs inline on the
+//! calling thread. [`parallel_map`], the general fan-out the benchmark
+//! harness's sweeps use, shares the same scheduler.
 //!
-//! [`parallel_map`] also clamps its effective worker count to the
-//! machine's available parallelism: requesting more workers than CPUs
-//! can only add contention (on a 1-CPU host it made 4-worker runs ~24 %
-//! *slower* than serial), and because results are scheduling-independent
-//! the clamp is unobservable in the output.
-//!
-//! The engine is two layers: [`parallel_map`], a general deterministic
-//! fan-out over `std::thread::scope` (also used by the benchmark
-//! harness's ablation sweeps), and [`CampaignGrid`], the campaign-shaped
-//! API on top.
+//! [`RunOpts::new`] and [`parallel_map`] clamp the worker count to the
+//! machine's available parallelism: more workers than CPUs only adds
+//! contention (on a 1-CPU host it made 4-worker runs ~24 % *slower*
+//! than serial), and because results are scheduling-independent the
+//! clamp is unobservable in the output. Tests that must exercise
+//! cross-thread scheduling on any machine set [`RunOpts::jobs`]
+//! directly.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -56,56 +69,83 @@ use crate::profile::FlipCatalog;
 use crate::steering::{with_retries, RetryPolicy};
 use crate::template::MachineTemplate;
 
+/// The machine's available parallelism (1 when it cannot be queried).
+fn available_cpus() -> NonZeroUsize {
+    std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
+}
+
+/// Clamps a worker count to [`available_cpus`]; results never depend on
+/// the width, so the clamp only removes contention.
+fn clamp_to_cpus(jobs: NonZeroUsize) -> NonZeroUsize {
+    jobs.min(available_cpus())
+}
+
 /// Resolves a `--jobs`-style request: `None` means "use all available
 /// parallelism", and a request is clamped to at least one worker.
 pub fn resolve_jobs(requested: Option<usize>) -> NonZeroUsize {
-    match requested {
-        Some(n) => NonZeroUsize::new(n.max(1)).expect("max(1) is non-zero"),
-        None => std::thread::available_parallelism()
-            .unwrap_or_else(|_| NonZeroUsize::new(1).expect("1 is non-zero")),
-    }
+    requested.map_or_else(available_cpus, |n| {
+        NonZeroUsize::new(n.max(1)).expect("max(1) is non-zero")
+    })
 }
 
 /// Applies `f` to every item on up to `jobs` scoped workers, returning
 /// results in input order.
 ///
 /// The effective worker count is clamped to the machine's available
-/// parallelism (and to the item count): oversubscribing a small machine
-/// only adds scheduler contention and per-thread allocator overhead,
-/// and because outputs are scheduling-independent the clamp cannot
-/// change results. Use [`parallel_map_exact`] to force a width (the
-/// determinism tests do, so cross-thread scheduling is exercised even
-/// on single-CPU machines).
-///
-/// Work distribution is chunked work-stealing — see the
-/// [module docs](self). `f` must itself be deterministic per item for
-/// the full determinism guarantee to hold; the campaign engine arranges
-/// that by deriving every cell's RNG from its own seed.
+/// parallelism (and to the item count); see the [module docs](self).
+/// `f` must itself be deterministic per item for the full determinism
+/// guarantee to hold; the campaign engine arranges that by deriving
+/// every cell's RNG from its own seed.
 ///
 /// # Panics
 ///
-/// Propagates panics from `f` once all workers have stopped.
+/// Propagates the input-order-first panic from `f` once all workers
+/// have stopped.
 pub fn parallel_map<T, R, F>(items: Vec<T>, jobs: NonZeroUsize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    run_on_workers(items, jobs.get().min(cpus), f)
+    map_on_workers(items, clamp_to_cpus(jobs).get(), f)
 }
 
-/// [`parallel_map`] without the available-parallelism clamp: exactly
-/// `jobs` workers (still at most one per item). Results are identical
-/// to [`parallel_map`]'s — this variant exists so tests can prove that
-/// on *any* machine, not to make production runs faster.
-pub fn parallel_map_exact<T, R, F>(items: Vec<T>, jobs: NonZeroUsize, f: F) -> Vec<R>
+/// [`parallel_map`] on exactly `min(workers, items)` workers.
+fn map_on_workers<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    run_on_workers(items, jobs.get(), f)
+    let n = items.len();
+    let tasks: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let parts = schedule(
+        n,
+        workers,
+        |_| Vec::new(),
+        |out, i| {
+            let item = tasks[i]
+                .lock()
+                .expect("task slot poisoned")
+                .take()
+                .expect("each task index is claimed exactly once");
+            out.push((i, f(i, item)));
+        },
+    );
+    in_index_order(n, parts.into_iter().flatten())
+}
+
+/// Scatters `(index, value)` pairs that cover `0..n` once each into
+/// index order.
+fn in_index_order<R>(n: usize, pairs: impl IntoIterator<Item = (usize, R)>) -> Vec<R> {
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (i, value) in pairs {
+        slots[i] = Some(value);
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every index is delivered exactly once"))
+        .collect()
 }
 
 /// Chunk granularity: a few chunks per worker so early finishers have
@@ -163,148 +203,53 @@ impl ChunkQueues {
     }
 }
 
-/// Captures the grid-order-first panic from worker closures so it can
-/// be resumed on the caller's thread with its original payload. All
-/// items still run (never stopping early keeps the chosen panic a pure
-/// function of the grid, not of scheduling), then the payload with the
-/// lowest grid index wins — exactly the panic a serial run would have
-/// surfaced first.
-#[derive(Default)]
-struct FirstPanic {
-    slot: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
+/// Keeps the value recorded at the lowest grid index across workers —
+/// exactly what a serial run would have hit first, whatever the
+/// scheduling. Holds the run's first panic payload and the streamed
+/// run's first error.
+struct GridFirst<T> {
+    slot: Mutex<Option<(usize, T)>>,
 }
 
-impl FirstPanic {
-    fn record(&self, index: usize, payload: Box<dyn Any + Send>) {
-        let mut slot = self.slot.lock().expect("panic slot poisoned");
-        let replace = match slot.as_ref() {
-            Some((held, _)) => index < *held,
-            None => true,
-        };
-        if replace {
-            *slot = Some((index, payload));
-        }
-    }
-
-    /// Resumes the recorded panic, if any, on the calling thread.
-    fn resume_if_any(self) {
-        if let Some((_, payload)) = self.slot.into_inner().expect("panic slot poisoned") {
-            resume_unwind(payload);
+impl<T> Default for GridFirst<T> {
+    fn default() -> Self {
+        Self {
+            slot: Mutex::new(None),
         }
     }
 }
 
-fn run_on_workers<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.min(n);
-    if workers == 1 {
-        // Serial fast path: no threads, same order, same results, and
-        // a panicking closure propagates on its own.
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
-
-    let tasks: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let queues = ChunkQueues::deal(n, workers);
-    let first_panic = FirstPanic::default();
-
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let queues = &queues;
-            let tasks = &tasks;
-            let results = &results;
-            let f = &f;
-            let first_panic = &first_panic;
-            scope.spawn(move || {
-                while let Some(range) = queues.claim(me) {
-                    for i in range {
-                        let item = tasks[i]
-                            .lock()
-                            .expect("task slot poisoned")
-                            .take()
-                            .expect("each task index is claimed exactly once");
-                        // Catch per item so a panicking closure surfaces
-                        // with its own payload (not a poisoned-mutex or
-                        // generic scope panic) after every worker stops.
-                        match catch_unwind(AssertUnwindSafe(|| f(i, item))) {
-                            Ok(out) => {
-                                *results[i].lock().expect("result slot poisoned") = Some(out);
-                            }
-                            Err(payload) => first_panic.record(i, payload),
-                        }
-                    }
-                }
-            });
+impl<T> GridFirst<T> {
+    fn record(&self, index: usize, value: T) {
+        let mut slot = self.slot.lock().expect("grid-first slot poisoned");
+        if slot.as_ref().is_none_or(|(held, _)| index < *held) {
+            *slot = Some((index, value));
         }
-    });
-    first_panic.resume_if_any();
+    }
 
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every task ran to completion")
-        })
-        .collect()
+    fn into_inner(self) -> Option<T> {
+        self.slot
+            .into_inner()
+            .expect("grid-first slot poisoned")
+            .map(|(_, value)| value)
+    }
 }
 
-/// Streaming variant of [`parallel_map`]: instead of parking every
-/// result in an O(items) slot vector, each worker owns an accumulator
-/// from `new_acc(worker)` and folds every index it claims into it via
-/// `fold(acc, index)` — so a run holds O(workers) state, never
-/// O(items). Returns the accumulators in worker order.
+/// The one work-stealing scheduler: folds every index in `0..n` into
+/// the accumulator of the worker that claims it, on exactly
+/// `min(workers, n)` workers, and returns the accumulators in worker
+/// order. A single worker runs inline on the calling thread.
 ///
 /// Indices arrive in ascending order *within* a contiguous chunk, but
-/// chunks interleave under stealing, so deterministic aggregation
-/// requires folds that commute across chunks (sums, histograms,
-/// per-index spill files). The effective worker count is clamped to the
-/// machine's available parallelism, like [`parallel_map`].
+/// chunks interleave under stealing, so deterministic output needs
+/// folds that commute across chunks (indexed slots, sums, per-index
+/// spill shards).
 ///
 /// # Panics
 ///
-/// Propagates the grid-order-first panic from `fold` once all workers
-/// have stopped.
-pub fn parallel_reduce_indexed<A, G, F>(n: usize, jobs: NonZeroUsize, new_acc: G, fold: F) -> Vec<A>
-where
-    A: Send,
-    G: Fn(usize) -> A + Sync,
-    F: Fn(&mut A, usize) + Sync,
-{
-    let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    run_reduce_on_workers(n, jobs.get().min(cpus), new_acc, fold)
-}
-
-/// [`parallel_reduce_indexed`] without the available-parallelism clamp:
-/// exactly `jobs` workers (still at most one per index), so tests can
-/// exercise cross-thread stealing on any machine.
-pub fn parallel_reduce_indexed_exact<A, G, F>(
-    n: usize,
-    jobs: NonZeroUsize,
-    new_acc: G,
-    fold: F,
-) -> Vec<A>
-where
-    A: Send,
-    G: Fn(usize) -> A + Sync,
-    F: Fn(&mut A, usize) + Sync,
-{
-    run_reduce_on_workers(n, jobs.get(), new_acc, fold)
-}
-
-fn run_reduce_on_workers<A, G, F>(n: usize, workers: usize, new_acc: G, fold: F) -> Vec<A>
+/// Every index still runs, then the grid-order-first panic from `fold`
+/// resumes with its original payload on the calling thread.
+fn schedule<A, G, F>(n: usize, workers: usize, new_acc: G, fold: F) -> Vec<A>
 where
     A: Send,
     G: Fn(usize) -> A + Sync,
@@ -313,8 +258,10 @@ where
     if n == 0 {
         return Vec::new();
     }
-    let workers = workers.min(n);
+    let workers = workers.clamp(1, n);
     if workers == 1 {
+        // Serial fast path: no threads, and a panic propagates on its
+        // own — necessarily the lowest-index one.
         let mut acc = new_acc(0);
         for i in 0..n {
             fold(&mut acc, i);
@@ -323,20 +270,19 @@ where
     }
 
     let queues = ChunkQueues::deal(n, workers);
-    let first_panic = FirstPanic::default();
+    let first_panic: GridFirst<Box<dyn Any + Send>> = GridFirst::default();
     let accs: Vec<Mutex<Option<A>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-
     std::thread::scope(|scope| {
         for me in 0..workers {
-            let queues = &queues;
-            let accs = &accs;
-            let new_acc = &new_acc;
-            let fold = &fold;
-            let first_panic = &first_panic;
+            let (queues, accs, new_acc, fold, first_panic) =
+                (&queues, &accs, &new_acc, &fold, &first_panic);
             scope.spawn(move || {
                 let mut acc = new_acc(me);
                 while let Some(range) = queues.claim(me) {
                     for i in range {
+                        // Catch per index so a panic surfaces with its
+                        // own payload (not a poisoned-mutex or generic
+                        // scope panic) after every worker stops.
                         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| fold(&mut acc, i))) {
                             first_panic.record(i, payload);
                         }
@@ -346,8 +292,9 @@ where
             });
         }
     });
-    first_panic.resume_if_any();
-
+    if let Some(payload) = first_panic.into_inner() {
+        resume_unwind(payload);
+    }
     accs.into_iter()
         .map(|slot| {
             slot.into_inner()
@@ -504,7 +451,7 @@ impl CampaignGrid {
     }
 
     /// The grid's scenarios, in row order — one [`MachineTemplate`] per
-    /// entry is what [`CampaignGrid::run_streamed_with`] expects.
+    /// entry is what [`RunOpts::templates`] expects.
     pub fn scenarios(&self) -> &[Scenario] {
         &self.scenarios
     }
@@ -544,9 +491,8 @@ impl CampaignGrid {
     }
 
     /// One [`MachineTemplate`] per scenario, in scenario order; cell
-    /// `i` uses entry `i / seeds`. Callers that resume a checkpointed
-    /// run build these once and hand them to
-    /// [`CampaignGrid::run_streamed_resume`].
+    /// `i` uses entry `i / seeds`. Callers that share templates across
+    /// runs build these once and pass them as [`RunOpts::templates`].
     pub fn scenario_templates(&self) -> Vec<MachineTemplate> {
         self.scenarios
             .iter()
@@ -561,25 +507,20 @@ impl CampaignGrid {
     ///
     /// Propagates hypervisor errors.
     pub fn run_cell(&self, cell: &CampaignCell) -> Result<CellResult, HvError> {
-        self.run_cell_with(cell, &MachineTemplate::for_scenario(&cell.scenario), 0)
+        self.run_cell_on(
+            cell,
+            &MachineTemplate::for_scenario(&cell.scenario),
+            0,
+            None,
+        )
     }
 
     /// [`CampaignGrid::run_cell`] against a prebuilt template. The
-    /// `events_hint` pre-sizes the cell's trace arena (capacity only —
-    /// a wrong hint can never change recorded output, so passing a
-    /// scheduling-dependent high-water mark is safe).
-    fn run_cell_with(
-        &self,
-        cell: &CampaignCell,
-        template: &MachineTemplate,
-        events_hint: usize,
-    ) -> Result<CellResult, HvError> {
-        self.run_cell_recycled(cell, template, events_hint, None)
-    }
-
-    /// [`CampaignGrid::run_cell_with`] reusing a spent sink's event
-    /// arena (see [`TraceSink::recycle`]); `None` allocates fresh.
-    fn run_cell_recycled(
+    /// `events_hint` pre-sizes the cell's trace arena and `recycled`
+    /// hands it a spent sink's arena (see [`TraceSink::recycle`]) —
+    /// capacity only, so a scheduling-dependent hint can never change
+    /// recorded output.
+    fn run_cell_on(
         &self,
         cell: &CampaignCell,
         template: &MachineTemplate,
@@ -628,54 +569,43 @@ impl CampaignGrid {
         })
     }
 
-    /// Runs the whole grid on `jobs` workers; results are in grid order
-    /// and identical for every `jobs` value.
+    /// Runs the whole grid on `jobs` workers (clamped like
+    /// [`RunOpts::new`]); results are in grid order and identical for
+    /// every `jobs` value. This is [`CampaignGrid::stream`] with a
+    /// collecting consumer.
     ///
     /// # Errors
     ///
     /// Returns the first (grid-order) hypervisor error.
     pub fn run(&self, jobs: NonZeroUsize) -> Result<Vec<CellResult>, HvError> {
-        self.run_with_progress(jobs, |_| {})
-    }
-
-    /// [`CampaignGrid::run`] with a completion callback per cell. The
-    /// callback observes cells as workers finish them (i.e. in
-    /// scheduling order) and must therefore not influence results — use
-    /// it for liveness reporting only.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (grid-order) hypervisor error.
-    pub fn run_with_progress(
-        &self,
-        jobs: NonZeroUsize,
-        progress: impl Fn(&CellResult) + Sync,
-    ) -> Result<Vec<CellResult>, HvError> {
-        let templates = self.scenario_templates();
-        let seeds_per_scenario = self.seeds.len();
-        // High-water mark of per-cell event counts, used to pre-size
-        // later cells' trace arenas. Scheduling-dependent, but hints
-        // only set capacity, so determinism is untouched.
-        let events_hint = AtomicUsize::new(0);
-        let cells = self.cells();
-        let results = parallel_map(cells, jobs, |_, cell| {
-            let template = &templates[cell.index / seeds_per_scenario];
-            let hint = events_hint.load(Ordering::Relaxed);
-            let result = self.run_cell_with(&cell, template, hint);
-            if let Ok(r) = &result {
-                if let Some(sink) = &r.trace {
-                    events_hint.fetch_max(sink.events().len(), Ordering::Relaxed);
-                }
-                progress(r);
+        struct Collect(Vec<(usize, CellResult)>);
+        impl CellConsumer for Collect {
+            fn consume(
+                &mut self,
+                index: usize,
+                result: CellResult,
+            ) -> std::io::Result<Option<TraceSink>> {
+                self.0.push((index, result));
+                Ok(None)
             }
-            result
-        });
-        results.into_iter().collect()
+        }
+        let parts = self
+            .stream(&RunOpts::new(jobs), |_| Collect(Vec::new()))
+            .map_err(|e| match e {
+                StreamError::Hv(e) => e,
+                StreamError::Io(_) | StreamError::Cancelled => {
+                    unreachable!("a collecting run neither spills nor cancels: {e}")
+                }
+            })?;
+        Ok(in_index_order(
+            self.len(),
+            parts.into_iter().flat_map(|c| c.0),
+        ))
     }
 
     /// Runs the grid serially on the calling thread — the reference the
     /// parallel path is tested against. Shares the per-scenario
-    /// template machinery with the parallel path, so "serial vs
+    /// template machinery with [`CampaignGrid::stream`], so "serial vs
     /// parallel" compares scheduling only.
     ///
     /// # Errors
@@ -686,241 +616,143 @@ impl CampaignGrid {
         let seeds_per_scenario = self.seeds.len();
         self.cells()
             .iter()
-            .map(|cell| self.run_cell_with(cell, &templates[cell.index / seeds_per_scenario], 0))
+            .map(|cell| {
+                self.run_cell_on(cell, &templates[cell.index / seeds_per_scenario], 0, None)
+            })
             .collect()
     }
 
-    /// Runs the grid with O(workers) memory: each worker folds every
-    /// finished [`CellResult`] into its own [`CellConsumer`] (built by
-    /// `new_consumer(worker)`) instead of parking it in a slot vector,
-    /// and cells are materialized one per worker at a time. Spent trace
-    /// sinks handed back by the consumer are recycled, so one event
-    /// arena serves all of a worker's cells.
+    /// Runs the grid as `opts` says, folding every finished
+    /// [`CellResult`] into the finishing worker's [`CellConsumer`]
+    /// (built by `new_consumer(worker)`); returns the consumers in
+    /// worker order.
     ///
-    /// Consumers observe cells in their worker's scheduling order;
-    /// deterministic output therefore needs order-insensitive folds
-    /// (mergeable sketches, per-index spill shards) — what
-    /// [`streamref`](crate::streamref) provides. The effective worker
-    /// count is clamped like [`parallel_map`]'s; the returned consumers
-    /// are in worker order.
-    ///
-    /// # Errors
-    ///
-    /// Like [`CampaignGrid::run`], every cell still runs and the
-    /// grid-order-first error (hypervisor or consumer I/O) is returned.
-    pub fn run_streamed<C, G>(
-        &self,
-        jobs: NonZeroUsize,
-        new_consumer: G,
-    ) -> Result<Vec<C>, StreamError>
-    where
-        C: CellConsumer + Send,
-        G: Fn(usize) -> C + Sync,
-    {
-        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let jobs = NonZeroUsize::new(jobs.get().min(cpus)).expect("min of non-zeroes");
-        self.run_streamed_exact(jobs, new_consumer)
-    }
-
-    /// [`CampaignGrid::run_streamed`] without the available-parallelism
-    /// clamp — exactly `jobs` workers, so the streaming equivalence
-    /// tests exercise cross-thread shard interleaving on any machine.
+    /// Cells are materialized one per worker at a time, so a run holds
+    /// O(workers) state, and spent trace sinks a consumer hands back are
+    /// recycled for that worker's next cell. Consumers observe cells in
+    /// scheduling order; deterministic output therefore needs
+    /// order-insensitive folds (indexed slots, mergeable sketches,
+    /// per-index spill shards). Cancellation is checked before each cell,
+    /// so an in-flight cell always completes and an unstarted one never
+    /// boots a host; skipped cells never reach a consumer.
     ///
     /// # Errors
     ///
-    /// See [`CampaignGrid::run_streamed`].
-    pub fn run_streamed_exact<C, G>(
-        &self,
-        jobs: NonZeroUsize,
-        new_consumer: G,
-    ) -> Result<Vec<C>, StreamError>
-    where
-        C: CellConsumer + Send,
-        G: Fn(usize) -> C + Sync,
-    {
-        let templates = self.scenario_templates();
-        let refs: Vec<&MachineTemplate> = templates.iter().collect();
-        self.run_streamed_inner(jobs, &refs, None, None, new_consumer)
-    }
-
-    /// [`CampaignGrid::run_streamed`] against caller-owned per-scenario
-    /// templates (one per [`CampaignGrid::scenarios`] entry, in order)
-    /// and a [`CancelToken`]. This is the campaign server's entry
-    /// point: warm templates are shared across jobs, and cancelling the
-    /// token skips every not-yet-started cell.
-    ///
-    /// The worker count is clamped like [`CampaignGrid::run_streamed`].
-    /// Results for the cells that do run are bit-identical to the
-    /// template-less paths — templates only hoist scenario-invariant
-    /// work.
-    ///
-    /// # Errors
-    ///
-    /// Like [`CampaignGrid::run_streamed`], plus
-    /// [`StreamError::Cancelled`] when cancellation skipped at least
-    /// one cell (unless an earlier grid-order cell failed harder).
+    /// Every cell still runs, and the grid-order-first failure —
+    /// hypervisor error, consumer I/O, or [`StreamError::Cancelled`] for
+    /// a cell the cancellation kept from starting — is returned.
     ///
     /// # Panics
     ///
-    /// Panics if `templates.len()` differs from the scenario count.
-    pub fn run_streamed_with<C, G>(
-        &self,
-        jobs: NonZeroUsize,
-        templates: &[&MachineTemplate],
-        cancel: &CancelToken,
-        new_consumer: G,
-    ) -> Result<Vec<C>, StreamError>
+    /// Panics if [`RunOpts::templates`] is given with a length other
+    /// than the scenario count.
+    pub fn stream<C, G>(&self, opts: &RunOpts<'_>, new_consumer: G) -> Result<Vec<C>, StreamError>
     where
         C: CellConsumer + Send,
         G: Fn(usize) -> C + Sync,
     {
-        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let jobs = NonZeroUsize::new(jobs.get().min(cpus)).expect("min of non-zeroes");
-        self.run_streamed_inner(jobs, templates, Some(cancel), None, new_consumer)
-    }
-
-    /// [`CampaignGrid::run_streamed_with`] plus a completed-cell
-    /// predicate — the checkpoint/resume entry point. Cells for which
-    /// `done(index)` returns `true` are skipped without booting a host
-    /// or touching a consumer; the caller merges their previously
-    /// recorded results back in grid order. Because cells are
-    /// independent (seed-split RNG streams, per-cell hosts), the cells
-    /// that do run produce bytes identical to an uninterrupted run for
-    /// any worker count.
-    ///
-    /// # Errors
-    ///
-    /// See [`CampaignGrid::run_streamed_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `templates.len()` differs from the scenario count.
-    pub fn run_streamed_resume<C, G>(
-        &self,
-        jobs: NonZeroUsize,
-        templates: &[&MachineTemplate],
-        cancel: &CancelToken,
-        done: &(dyn Fn(usize) -> bool + Sync),
-        new_consumer: G,
-    ) -> Result<Vec<C>, StreamError>
-    where
-        C: CellConsumer + Send,
-        G: Fn(usize) -> C + Sync,
-    {
-        let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let jobs = NonZeroUsize::new(jobs.get().min(cpus)).expect("min of non-zeroes");
-        self.run_streamed_inner(jobs, templates, Some(cancel), Some(done), new_consumer)
-    }
-
-    fn run_streamed_inner<C, G>(
-        &self,
-        jobs: NonZeroUsize,
-        templates: &[&MachineTemplate],
-        cancel: Option<&CancelToken>,
-        done: Option<&(dyn Fn(usize) -> bool + Sync)>,
-        new_consumer: G,
-    ) -> Result<Vec<C>, StreamError>
-    where
-        C: CellConsumer + Send,
-        G: Fn(usize) -> C + Sync,
-    {
+        let owned: Vec<MachineTemplate>;
+        let templates: Vec<&MachineTemplate> = match opts.templates {
+            Some(shared) => shared.to_vec(),
+            None => {
+                owned = self.scenario_templates();
+                owned.iter().collect()
+            }
+        };
         assert_eq!(
             templates.len(),
             self.scenarios.len(),
             "one template per scenario, in scenario order"
         );
-
-        struct WorkerState<C> {
-            consumer: C,
-            recycled: Option<TraceSink>,
-            // Lowest-index failure this worker saw; the grid-order
-            // minimum across workers is the run's error, matching the
-            // in-memory path's "first grid-order error" contract.
-            first_error: Option<(usize, StreamError)>,
-        }
-
-        impl<C> WorkerState<C> {
-            fn record_error(&mut self, index: usize, e: StreamError) {
-                let replace = match self.first_error.as_ref() {
-                    Some((held, _)) => index < *held,
-                    None => true,
-                };
-                if replace {
-                    self.first_error = Some((index, e));
-                }
-            }
-        }
-
         let seeds_per_scenario = self.seeds.len();
+        // High-water mark of per-cell event counts, used to pre-size
+        // later cells' trace arenas (capacity only, see run_cell_on).
         let events_hint = AtomicUsize::new(0);
-        let states = parallel_reduce_indexed_exact(
+        let first_error: GridFirst<StreamError> = GridFirst::default();
+        let states = schedule(
             self.len(),
-            jobs,
-            |worker| WorkerState {
-                consumer: new_consumer(worker),
-                recycled: None,
-                first_error: None,
-            },
-            |state, index| {
-                // Checked per cell, before any host is booted: an
-                // in-flight cell always completes (leak-free), a
-                // not-yet-started cell never starts.
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    state.record_error(index, StreamError::Cancelled);
+            opts.jobs.get(),
+            |worker| (new_consumer(worker), None),
+            |(consumer, recycled): &mut (C, Option<TraceSink>), index| {
+                if opts.cancel.is_some_and(CancelToken::is_cancelled) {
+                    first_error.record(index, StreamError::Cancelled);
                     return;
                 }
-                // Resume support: cells already completed by a prior
-                // (checkpointed) run are skipped before any work.
-                if done.is_some_and(|f| f(index)) {
+                if opts.skip.is_some_and(|skip| skip(index)) {
                     return;
                 }
                 let cell = self.cell_at(index);
                 let template = templates[index / seeds_per_scenario];
                 let hint = events_hint.load(Ordering::Relaxed);
                 let outcome = self
-                    .run_cell_recycled(&cell, template, hint, state.recycled.take())
+                    .run_cell_on(&cell, template, hint, recycled.take())
                     .map_err(StreamError::Hv)
                     .and_then(|result| {
                         if let Some(sink) = &result.trace {
                             events_hint.fetch_max(sink.events().len(), Ordering::Relaxed);
                         }
-                        state
-                            .consumer
-                            .consume(index, result)
-                            .map_err(StreamError::Io)
+                        consumer.consume(index, result).map_err(StreamError::Io)
                     });
                 match outcome {
-                    Ok(recycled) => state.recycled = recycled,
-                    // Keep running the remaining cells (the in-memory
-                    // path does too) but remember only the lowest-index
-                    // failure.
-                    Err(e) => state.record_error(index, e),
+                    Ok(sink) => *recycled = sink,
+                    Err(e) => first_error.record(index, e),
                 }
             },
         );
-
-        let mut consumers = Vec::with_capacity(states.len());
-        let mut first_error: Option<(usize, StreamError)> = None;
-        for state in states {
-            if let Some((index, e)) = state.first_error {
-                let replace = match first_error.as_ref() {
-                    Some((held, _)) => index < *held,
-                    None => true,
-                };
-                if replace {
-                    first_error = Some((index, e));
-                }
-            }
-            consumers.push(state.consumer);
-        }
-        match first_error {
-            Some((_, e)) => Err(e),
-            None => Ok(consumers),
+        match first_error.into_inner() {
+            Some(e) => Err(e),
+            None => Ok(states.into_iter().map(|(consumer, _)| consumer).collect()),
         }
     }
 }
 
-/// Per-worker sink for [`CampaignGrid::run_streamed`]: receives every
+/// How [`CampaignGrid::stream`] runs a grid. Build with
+/// [`RunOpts::new`] and set the optional fields with struct-update
+/// syntax.
+#[derive(Clone, Copy)]
+pub struct RunOpts<'a> {
+    /// Worker threads. [`RunOpts::new`] clamps the request to the
+    /// machine's available parallelism; set the field directly to pin
+    /// an exact width (the determinism tests do).
+    pub jobs: NonZeroUsize,
+    /// Caller-owned per-scenario templates, one per
+    /// [`CampaignGrid::scenarios`] entry in order; `None` builds them
+    /// for this run. Results are bit-identical either way — templates
+    /// only hoist scenario-invariant work.
+    pub templates: Option<&'a [&'a MachineTemplate]>,
+    /// Once cancelled, no further cell starts.
+    pub cancel: Option<&'a CancelToken>,
+    /// Cells for which this returns `true` are skipped without booting a
+    /// host or touching a consumer — checkpoint resume.
+    pub skip: Option<&'a (dyn Fn(usize) -> bool + Sync)>,
+}
+
+impl RunOpts<'_> {
+    /// Runs on `jobs` workers, clamped to the machine's available
+    /// parallelism, with fresh templates, no cancellation and no
+    /// skipped cells.
+    pub fn new(jobs: NonZeroUsize) -> Self {
+        Self {
+            jobs: clamp_to_cpus(jobs),
+            templates: None,
+            cancel: None,
+            skip: None,
+        }
+    }
+}
+
+impl std::fmt::Debug for RunOpts<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RunOpts")
+            .field("jobs", &self.jobs)
+            .field("templates", &self.templates.map(<[_]>::len))
+            .field("cancel", &self.cancel)
+            .field("skip", &self.skip.is_some())
+            .finish()
+    }
+}
+
+/// Per-worker sink for [`CampaignGrid::stream`]: receives every
 /// finished [`CellResult`] of its worker, in that worker's scheduling
 /// order, and may hand the cell's spent [`TraceSink`] back so the
 /// engine can recycle its arena for the worker's next cell.
@@ -984,18 +816,26 @@ mod tests {
         CampaignGrid::new(vec![Scenario::tiny_demo()], params, 2).with_seed_count(0x717e, seeds)
     }
 
+    /// Options pinned to exactly `jobs` workers, whatever the CPU count.
+    fn exact(jobs: usize) -> RunOpts<'static> {
+        let jobs = NonZeroUsize::new(jobs).unwrap();
+        RunOpts {
+            jobs,
+            ..RunOpts::new(jobs)
+        }
+    }
+
     #[test]
     fn parallel_map_preserves_order_and_runs_every_item() {
         let items: Vec<u64> = (0..37).collect();
-        let jobs = NonZeroUsize::new(4).unwrap();
-        // The exact variant forces 4 real workers even on a 1-CPU
-        // machine, so cross-thread stealing is actually exercised.
-        let out = parallel_map_exact(items.clone(), jobs, |i, x| {
+        // Exactly 4 real workers even on a 1-CPU machine, so
+        // cross-thread stealing is actually exercised.
+        let out = map_on_workers(items.clone(), 4, |i, x| {
             assert_eq!(i as u64, x);
             x * 2
         });
         assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        let clamped = parallel_map(items.clone(), jobs, |_, x| x * 2);
+        let clamped = parallel_map(items.clone(), NonZeroUsize::new(4).unwrap(), |_, x| x * 2);
         assert_eq!(clamped, out, "CPU clamp must not change results");
     }
 
@@ -1004,7 +844,7 @@ mod tests {
         let jobs = NonZeroUsize::new(8).unwrap();
         let empty: Vec<u8> = parallel_map(Vec::<u8>::new(), jobs, |_, x| x);
         assert!(empty.is_empty());
-        let two = parallel_map_exact(vec![1, 2], jobs, |_, x| x + 1);
+        let two = map_on_workers(vec![1, 2], 8, |_, x| x + 1);
         assert_eq!(two, vec![2, 3]);
     }
 
@@ -1015,7 +855,7 @@ mod tests {
         // initial share behind it; stealing lets the other workers
         // drain it, and the output must stay in input order either way.
         let items: Vec<u64> = (0..64).collect();
-        let out = parallel_map_exact(items, NonZeroUsize::new(4).unwrap(), |i, x| {
+        let out = map_on_workers(items, 4, |i, x| {
             let spins = if i == 0 { 2_000_000 } else { 2_000 };
             let mut acc = x;
             for _ in 0..spins {
@@ -1097,11 +937,10 @@ mod tests {
     #[test]
     fn parallel_map_propagates_original_panic_payload() {
         // The original payload must surface — not a slot-mutex
-        // "result slot poisoned" panic from the collection phase.
-        for jobs in [1usize, 4] {
-            let jobs = NonZeroUsize::new(jobs).unwrap();
+        // "poisoned" panic from the collection phase.
+        for workers in [1usize, 4] {
             let msg = panic_message(move || {
-                parallel_map_exact((0..16u64).collect(), jobs, |i, x| {
+                map_on_workers((0..16u64).collect(), workers, |i, x| {
                     assert!(i != 11, "cell 11 exploded");
                     x
                 });
@@ -1124,15 +963,11 @@ mod tests {
         // index — what a serial run would hit first — even though a
         // later-index worker may panic earlier in wall-clock time.
         let msg = panic_message(|| {
-            parallel_map_exact(
-                (0..64usize).collect(),
-                NonZeroUsize::new(4).unwrap(),
-                |i, _| {
-                    if i >= 5 {
-                        panic!("panicked at index {i}");
-                    }
-                },
-            );
+            map_on_workers((0..64usize).collect(), 4, |i, _| {
+                if i >= 5 {
+                    panic!("panicked at index {i}");
+                }
+            });
         });
         assert_eq!(msg, "panicked at index 5");
     }
@@ -1140,9 +975,9 @@ mod tests {
     #[test]
     fn reduce_path_propagates_original_panic_payload() {
         let msg = panic_message(|| {
-            parallel_reduce_indexed_exact(
+            schedule(
                 32,
-                NonZeroUsize::new(4).unwrap(),
+                4,
                 |_| 0u64,
                 |acc, i| {
                     assert!(i != 7, "reducer died on 7");
@@ -1155,22 +990,14 @@ mod tests {
 
     #[test]
     fn reduce_partitions_every_index_exactly_once() {
-        for jobs in [1usize, 2, 4, 8] {
-            let jobs = NonZeroUsize::new(jobs).unwrap();
-            let accs =
-                parallel_reduce_indexed_exact(37, jobs, |_| Vec::new(), |acc, i| acc.push(i));
-            assert_eq!(accs.len(), jobs.get().min(37));
+        for workers in [1usize, 2, 4, 8] {
+            let accs = schedule(37, workers, |_| Vec::new(), |acc, i| acc.push(i));
+            assert_eq!(accs.len(), workers.min(37));
             let mut all: Vec<usize> = accs.into_iter().flatten().collect();
             all.sort_unstable();
             assert_eq!(all, (0..37).collect::<Vec<_>>());
         }
-        assert!(parallel_reduce_indexed_exact(
-            0,
-            NonZeroUsize::new(4).unwrap(),
-            |_| 0u8,
-            |_, _| {}
-        )
-        .is_empty());
+        assert!(schedule(0, 4, |_| 0u8, |_, _| {}).is_empty());
     }
 
     struct Collect(Vec<(usize, CellResult)>);
@@ -1199,11 +1026,12 @@ mod tests {
             .collect();
         let refs: Vec<&MachineTemplate> = templates.iter().collect();
         let token = CancelToken::new();
-        let consumers = grid
-            .run_streamed_with(NonZeroUsize::new(2).unwrap(), &refs, &token, |_| {
-                Collect(Vec::new())
-            })
-            .unwrap();
+        let opts = RunOpts {
+            templates: Some(&refs),
+            cancel: Some(&token),
+            ..RunOpts::new(NonZeroUsize::new(2).unwrap())
+        };
+        let consumers = grid.stream(&opts, |_| Collect(Vec::new())).unwrap();
         let mut streamed: Vec<(usize, CellResult)> =
             consumers.into_iter().flat_map(|c| c.0).collect();
         streamed.sort_by_key(|(i, _)| *i);
@@ -1218,19 +1046,15 @@ mod tests {
     #[test]
     fn cancelled_token_skips_unstarted_cells() {
         let grid = tiny_grid(4);
-        let templates: Vec<MachineTemplate> = grid
-            .scenarios()
-            .iter()
-            .map(MachineTemplate::for_scenario)
-            .collect();
-        let refs: Vec<&MachineTemplate> = templates.iter().collect();
 
         // Cancelled before the run starts: nothing runs at all.
         let token = CancelToken::new();
         token.cancel();
-        let Err(err) = grid.run_streamed_with(NonZeroUsize::new(2).unwrap(), &refs, &token, |_| {
-            Collect(Vec::new())
-        }) else {
+        let opts = RunOpts {
+            cancel: Some(&token),
+            ..RunOpts::new(NonZeroUsize::new(2).unwrap())
+        };
+        let Err(err) = grid.stream(&opts, |_| Collect(Vec::new())) else {
             panic!("a pre-cancelled run must not succeed");
         };
         assert!(matches!(err, StreamError::Cancelled), "got: {err:?}");
@@ -1255,11 +1079,13 @@ mod tests {
         }
         let token = CancelToken::new();
         let consumed = std::sync::Arc::new(Mutex::new(Vec::new()));
-        let Err(err) = grid.run_streamed_with(NonZeroUsize::new(1).unwrap(), &refs, &token, |_| {
-            CancelAfterFirst {
-                token: token.clone(),
-                consumed: consumed.clone(),
-            }
+        let opts = RunOpts {
+            cancel: Some(&token),
+            ..RunOpts::new(NonZeroUsize::new(1).unwrap())
+        };
+        let Err(err) = grid.stream(&opts, |_| CancelAfterFirst {
+            token: token.clone(),
+            consumed: consumed.clone(),
         }) else {
             panic!("a mid-run cancellation must surface");
         };
@@ -1272,25 +1098,14 @@ mod tests {
     fn resume_skips_done_cells_and_matches_a_full_run() {
         let grid = tiny_grid(4);
         let reference = grid.run_serial().unwrap();
-        let templates: Vec<MachineTemplate> = grid
-            .scenarios()
-            .iter()
-            .map(MachineTemplate::for_scenario)
-            .collect();
-        let refs: Vec<&MachineTemplate> = templates.iter().collect();
         // Cells 0 and 2 were "already completed" by the interrupted run.
         let done = |index: usize| index == 0 || index == 2;
         for jobs in [1usize, 2] {
-            let token = CancelToken::new();
-            let consumers = grid
-                .run_streamed_resume(
-                    NonZeroUsize::new(jobs).unwrap(),
-                    &refs,
-                    &token,
-                    &done,
-                    |_| Collect(Vec::new()),
-                )
-                .unwrap();
+            let opts = RunOpts {
+                skip: Some(&done),
+                ..exact(jobs)
+            };
+            let consumers = grid.stream(&opts, |_| Collect(Vec::new())).unwrap();
             let mut resumed: Vec<(usize, CellResult)> =
                 consumers.into_iter().flat_map(|c| c.0).collect();
             resumed.sort_by_key(|(i, _)| *i);
@@ -1309,9 +1124,7 @@ mod tests {
         let grid = tiny_grid(3);
         let reference = grid.run_serial().unwrap();
         for jobs in [1usize, 2, 8] {
-            let consumers = grid
-                .run_streamed_exact(NonZeroUsize::new(jobs).unwrap(), |_| Collect(Vec::new()))
-                .unwrap();
+            let consumers = grid.stream(&exact(jobs), |_| Collect(Vec::new())).unwrap();
             let mut streamed: Vec<(usize, CellResult)> =
                 consumers.into_iter().flat_map(|c| c.0).collect();
             streamed.sort_by_key(|(i, _)| *i);

@@ -4,7 +4,7 @@
 //! A 10⁵–10⁶-cell campaign (Table-3-style sweeps at production scale)
 //! cannot hold every [`CellResult`] and trace arena in RAM. This module
 //! supplies the per-worker state that
-//! [`CampaignGrid::run_streamed`](crate::parallel::CampaignGrid::run_streamed)
+//! [`CampaignGrid::stream`](crate::parallel::CampaignGrid::stream)
 //! folds finished cells into:
 //!
 //! * [`CampaignAggregate`] — success counts, flip histograms and

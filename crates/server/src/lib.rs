@@ -10,7 +10,7 @@
 //!
 //! * [`JobManager`] is the engine — submit/status/cancel/stream over an
 //!   in-process job table, one runner thread draining a priority queue
-//!   into [`CampaignGrid::run_streamed_with`]. Benches drive it
+//!   into [`CampaignGrid::stream`]. Benches drive it
 //!   directly to compare warm-server submissions against cold starts.
 //! * [`CampaignServer`] wraps a manager with the HTTP API:
 //!   `POST /jobs`, `GET /jobs/{id}`, `GET /jobs/{id}/stream` (chunked
@@ -40,21 +40,20 @@ pub mod http;
 pub mod json;
 
 use std::collections::{BinaryHeap, HashMap};
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hh_trace::{Counter, Metrics};
-use hyperhammer::parallel::{CellConsumer, StreamError};
+use hyperhammer::parallel::{resolve_jobs, CellConsumer, RunOpts, StreamError};
 use hyperhammer::streamref::CampaignAggregate;
-use hyperhammer::{CancelToken, CellResult, JobSpec, MachineTemplate};
+use hyperhammer::{CancelToken, CellLog, CellResult, JobSpec, MachineTemplate};
 
-use http::{error_response, json_escape, ChunkedWriter, Method, ParseError, Request, Response};
+use http::{error_response, json_escape, ChunkedWriter, Method, Request, Response};
 
 /// Per-cell NDJSON line formatter, injected by the CLI so the server
 /// cannot drift from `campaign --json` output.
@@ -161,10 +160,10 @@ struct JobState {
 }
 
 /// Where one job persists itself when the manager runs with a spool
-/// directory: the spec as JSON (written at submit) and one
-/// `index\tndjson-line` record per completed cell (appended and fsynced
-/// as cells finish). Both are deleted once the job goes terminal, so
-/// after a crash the spool holds exactly the unfinished jobs.
+/// directory: the spec as JSON (written at submit) and a [`CellLog`]
+/// with one record per completed cell (fsynced as each cell finishes).
+/// Both are deleted once the job goes terminal, so after a crash the
+/// spool holds exactly the unfinished jobs.
 #[derive(Debug)]
 struct JobSpool {
     spec_path: PathBuf,
@@ -177,17 +176,6 @@ impl JobSpool {
             spec_path: dir.join(format!("job-{id}.json")),
             lines_path: dir.join(format!("job-{id}.ndjson")),
         }
-    }
-
-    fn append_line(&self, index: usize, line: &str) -> io::Result<()> {
-        let mut file = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&self.lines_path)?;
-        // One write per record: a kill can tear at most the final line,
-        // which the restart scan drops (that cell simply re-runs).
-        file.write_all(format!("{index}\t{line}").as_bytes())?;
-        file.sync_data()
     }
 
     fn remove(&self) {
@@ -284,13 +272,15 @@ impl Shared {
 }
 
 /// Per-worker sink: formats each finished cell with the injected
-/// formatter and publishes it on the job's line table.
-struct LineSink {
-    job: Arc<Job>,
+/// formatter, appends it to the job's spool log (if any) and publishes
+/// it on the job's line table.
+struct LineSink<'a> {
+    job: &'a Job,
+    log: Option<&'a CellLog>,
     fmt_cell: CellFormatter,
 }
 
-impl CellConsumer for LineSink {
+impl CellConsumer for LineSink<'_> {
     fn consume(
         &mut self,
         index: usize,
@@ -300,8 +290,8 @@ impl CellConsumer for LineSink {
         (self.fmt_cell)(&result, &mut line);
         // Persist before publishing: a line a streamer saw must survive
         // a crash, the other way round merely re-runs a cell.
-        if let Some(spool) = &self.job.spool {
-            spool.append_line(index, &line)?;
+        if let Some(log) = self.log {
+            log.append(index, &line)?;
         }
         let mut state = self.job.state.lock().expect("job state poisoned");
         state.aggregate.observe(&result);
@@ -624,33 +614,17 @@ fn restore_spool(dir: &Path, registry: &mut Registry) -> io::Result<()> {
     for (id, spec) in found {
         let cells = spec.cell_count();
         let spool = JobSpool::for_job(dir, id);
-        let mut lines: Vec<Option<String>> = vec![None; cells];
-        if let Ok(text) = std::fs::read_to_string(&spool.lines_path) {
-            let records: Vec<&str> = text.split('\n').collect();
-            for (pos, raw) in records.iter().enumerate() {
-                if raw.is_empty() {
-                    continue;
-                }
-                let parsed = raw.split_once('\t').and_then(|(index, line)| {
-                    index
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|i| *i < cells)
-                        .map(|i| (i, line))
-                });
-                match parsed {
-                    Some((index, line)) => lines[index] = Some(format!("{line}\n")),
-                    // A crash can tear the final record; drop it and
-                    // simply re-run that cell.
-                    None if pos + 1 == records.len() => {}
-                    None => eprintln!(
-                        "spool: ignoring corrupt record {}:{}",
-                        spool.lines_path.display(),
-                        pos + 1
-                    ),
-                }
-            }
+        // A torn final record or a corrupt one only costs a re-run of
+        // that cell.
+        let text = std::fs::read_to_string(&spool.lines_path).unwrap_or_default();
+        let records = CellLog::parse(&text, 0, cells);
+        for line in &records.corrupt {
+            eprintln!(
+                "spool: ignoring corrupt record {}:{line}",
+                spool.lines_path.display()
+            );
         }
+        let lines = records.lines;
         let completed = lines.iter().filter(|l| l.is_some()).count();
         let priority = spec.priority;
         let job = Arc::new(Job {
@@ -756,18 +730,39 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
         .map(|scenario| warm_template(shared, &job.spec, scenario))
         .collect();
     let refs: Vec<&MachineTemplate> = templates.iter().map(Arc::as_ref).collect();
-    let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    let jobs = NonZeroUsize::new(job.spec.jobs.unwrap_or(cpus).max(1)).expect("max(1) is non-zero");
+    let log = match job
+        .spool
+        .as_ref()
+        .map(|spool| CellLog::open(&spool.lines_path, 1))
+        .transpose()
+    {
+        Ok(log) => log,
+        Err(e) => {
+            job.set_status(JobStatus::Failed(format!("spool open failed: {e}")));
+            return;
+        }
+    };
     // Cells restored from the spool (or already present for any other
     // reason) are skipped; their published lines stay as-is.
     let done: Vec<bool> = {
         let state = job.state.lock().expect("job state poisoned");
         state.lines.iter().map(Option::is_some).collect()
     };
-    let outcome = grid.run_streamed_resume(jobs, &refs, &job.cancel, &|i| done[i], |_| LineSink {
-        job: Arc::clone(job),
-        fmt_cell: shared.fmt_cell,
-    });
+    let opts = RunOpts {
+        templates: Some(&refs),
+        cancel: Some(&job.cancel),
+        skip: Some(&|i| done[i]),
+        ..RunOpts::new(resolve_jobs(job.spec.jobs))
+    };
+    let outcome = grid
+        .stream(&opts, |_| LineSink {
+            job,
+            log: log.as_ref(),
+            fmt_cell: shared.fmt_cell,
+        })
+        .map(drop);
+    // Closed before a terminal status deletes the spool files.
+    drop(log);
     match outcome {
         Ok(_) => {
             job.set_status(JobStatus::Done);
@@ -783,8 +778,38 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
     }
 }
 
-/// How long connection reads wait before re-checking the shutdown flag.
+/// How long idle connection reads wait before re-checking the shutdown
+/// flag.
 const READ_POLL: Duration = Duration::from_millis(200);
+
+/// How long a client may take to send one request's head and body,
+/// counted from its first byte.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+
+/// A connection's read half. Between requests each read waits at most
+/// [`READ_POLL`], so idle keep-alive connections notice shutdown; once
+/// a request has begun, its reads share one deadline instead, so a
+/// client pausing mid-request is not mistaken for an idle one.
+struct ConnReader {
+    stream: TcpStream,
+    deadline: Option<Instant>,
+}
+
+impl Read for ConnReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let timeout = match self.deadline {
+            None => READ_POLL,
+            Some(deadline) => deadline
+                .checked_duration_since(Instant::now())
+                .filter(|left| !left.is_zero())
+                .ok_or_else(|| {
+                    io::Error::new(io::ErrorKind::TimedOut, "request deadline passed")
+                })?,
+        };
+        self.stream.set_read_timeout(Some(timeout))?;
+        self.stream.read(buf)
+    }
+}
 
 #[derive(Debug)]
 struct ServerCtx {
@@ -909,17 +934,20 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<ServerCtx>) {
 }
 
 fn handle_connection(stream: TcpStream, ctx: &Arc<ServerCtx>) {
-    // Poll-style reads so idle keep-alive connections notice shutdown.
-    let _ = stream.set_read_timeout(Some(READ_POLL));
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
     };
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(ConnReader {
+        stream,
+        deadline: None,
+    });
     loop {
-        let request = match http::read_request(&mut reader) {
-            Ok(request) => request,
-            Err(ParseError::Io(e))
+        // Idle until the first byte of the next request arrives.
+        match reader.fill_buf().map(|buf| buf.is_empty()) {
+            Ok(false) => {}
+            Ok(true) => return, // the peer closed the connection
+            Err(e)
                 if matches!(
                     e.kind(),
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -930,6 +958,13 @@ fn handle_connection(stream: TcpStream, ctx: &Arc<ServerCtx>) {
                 }
                 continue;
             }
+            Err(_) => return,
+        }
+        reader.get_mut().deadline = Some(Instant::now() + REQUEST_DEADLINE);
+        let parsed = http::read_request(&mut reader);
+        reader.get_mut().deadline = None;
+        let request = match parsed {
+            Ok(request) => request,
             Err(err) => {
                 if let Some(resp) = error_response(&err) {
                     let _ = resp.write_to(&mut writer, false);
@@ -1063,6 +1098,8 @@ fn shutdown_from_handler(ctx: &Arc<ServerCtx>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, Write};
+    use std::num::NonZeroUsize;
 
     /// Deterministic test formatter (the real one lives in the CLI).
     fn fmt(result: &CellResult, out: &mut String) {
@@ -1210,8 +1247,13 @@ mod tests {
     fn priority_decides_execution_order_behind_a_blocker() {
         let manager = JobManager::new(fmt);
         // While the blocker runs, both rivals sit in the queue; the
-        // runner must pick the high-priority one first.
+        // runner must pick the high-priority one first. Submit them only
+        // once the blocker runs: a runner waking between the two submits
+        // would otherwise find `low` alone in the queue.
         let blocker = manager.submit(tiny_spec()).unwrap();
+        while manager.status(blocker).unwrap().status == JobStatus::Queued {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let mut low = tiny_spec();
         low.priority = 1;
         let mut high = tiny_spec();
@@ -1320,6 +1362,22 @@ mod tests {
         manager.wait(next).unwrap();
         drop(manager);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_client_pausing_mid_request_is_not_cut_off() {
+        let server = CampaignServer::start("127.0.0.1:0", fmt).unwrap();
+        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+        conn.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+        // Longer than the idle poll: the request must survive it.
+        std::thread::sleep(Duration::from_millis(500));
+        conn.write_all(b"Host: x\r\n\r\n").unwrap();
+        let mut status = String::new();
+        BufReader::new(&conn).read_line(&mut status).unwrap();
+        assert!(status.starts_with("HTTP/1.1 200"), "got: {status:?}");
+        drop(conn);
+        server.shutdown();
+        server.join();
     }
 
     #[test]

@@ -186,3 +186,39 @@ fn delete_mid_run_keeps_the_server_serving() {
     client.shutdown().expect("shutdown");
     server.join();
 }
+
+#[test]
+fn spool_with_a_torn_tail_restores_byte_identically() {
+    let dir = std::env::temp_dir().join(format!("hh-spool-torn-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create spool dir");
+    // A server killed mid-job: cell 0's record is complete, the append
+    // of cell 2's record was cut short.
+    let job = spec("tiny", 3, 0x70a);
+    let serial = serial_ndjson(&job);
+    let lines: Vec<&str> = serial.split_inclusive('\n').collect();
+    let torn = &lines[2][..lines[2].len() - 7];
+    std::fs::write(dir.join("job-4.json"), job_spec_to_json(&job)).expect("write spec");
+    std::fs::write(
+        dir.join("job-4.ndjson"),
+        format!("0\t{}2\t{torn}", lines[0]),
+    )
+    .expect("write cell log");
+
+    let server =
+        CampaignServer::start_with_spool("127.0.0.1:0", campaign_cell_line, Some(dir.clone()))
+            .expect("restart on the spool");
+    let client = Client::new(&server.local_addr().to_string());
+    let mut streamed = Vec::new();
+    client
+        .stream(4, &mut streamed)
+        .expect("stream the restored job");
+    assert_eq!(
+        String::from_utf8(streamed).expect("UTF-8"),
+        serial,
+        "a torn record must re-run, never surface"
+    );
+    server.shutdown();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -12,7 +12,7 @@ use hh_hv::FaultConfig;
 use hh_trace::TraceMode;
 use hyperhammer::driver::{AttemptOutcome, DriverParams};
 use hyperhammer::machine::Scenario;
-use hyperhammer::parallel::{CampaignGrid, CellResult, StreamError};
+use hyperhammer::parallel::{CampaignGrid, CellResult, RunOpts, StreamError};
 use hyperhammer::steering::RetryPolicy;
 use hyperhammer::streamref::{merge_shards, CampaignAggregate, CampaignStreamer};
 
@@ -70,10 +70,14 @@ fn streamed(
     with_traces: bool,
     dir: &Path,
 ) -> Result<Output, StreamError> {
-    let consumers = grid
-        .run_streamed_exact(NonZeroUsize::new(jobs).expect("non-zero jobs"), |worker| {
-            CampaignStreamer::new(dir, worker, with_traces, fmt_cell as Fmt, fmt_trace as Fmt)
-        })?;
+    let jobs = NonZeroUsize::new(jobs).expect("non-zero jobs");
+    let opts = RunOpts {
+        jobs,
+        ..RunOpts::new(jobs)
+    };
+    let consumers = grid.stream(&opts, |worker| {
+        CampaignStreamer::new(dir, worker, with_traces, fmt_cell as Fmt, fmt_trace as Fmt)
+    })?;
     let mut aggregates = Vec::new();
     let mut cell_shards = Vec::new();
     let mut trace_shards = Vec::new();
