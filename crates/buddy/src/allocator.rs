@@ -1,9 +1,9 @@
 //! The buddy allocator core: split, coalesce, steal.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use hh_sim::addr::Pfn;
+use hh_sim::hash::U64Map;
 use hh_sim::snap::{Dec, Enc, SnapError};
 use hh_trace::Tracer;
 
@@ -183,8 +183,8 @@ pub struct AllocStats {
 pub struct BuddySnapshot {
     frames: u64,
     free: [[FreeList; MAX_ORDER as usize]; 2],
-    free_index: HashMap<u64, (u8, MigrateType)>,
-    allocated: HashMap<u64, (u8, MigrateType)>,
+    free_index: U64Map<(u8, MigrateType)>,
+    allocated: U64Map<(u8, MigrateType)>,
     pcp: PcpCache,
     stats: AllocStats,
 }
@@ -277,7 +277,7 @@ impl BuddySnapshot {
                 }
             }
         }
-        let mut maps = [HashMap::new(), HashMap::new()];
+        let mut maps: [U64Map<(u8, MigrateType)>; 2] = Default::default();
         for map in maps.iter_mut() {
             let count = dec.count(10)?;
             let mut last: Option<u64> = None;
@@ -360,10 +360,10 @@ pub struct BuddyAllocator {
     free: [[FreeList; MAX_ORDER as usize]; 2],
     /// Base PFN → (order, migratetype) of every free block, for O(1)
     /// buddy lookup during coalescing.
-    free_index: HashMap<u64, (u8, MigrateType)>,
+    free_index: U64Map<(u8, MigrateType)>,
     /// Base PFN → (order, migratetype) of every allocated block, for
     /// double-free detection and pinned-type accounting.
-    allocated: HashMap<u64, (u8, MigrateType)>,
+    allocated: U64Map<(u8, MigrateType)>,
     pcp: PcpCache,
     stats: AllocStats,
     tracer: Tracer,
@@ -392,8 +392,8 @@ impl BuddyAllocator {
         let mut this = Self {
             frames,
             free: Default::default(),
-            free_index: HashMap::new(),
-            allocated: HashMap::new(),
+            free_index: U64Map::default(),
+            allocated: U64Map::default(),
             pcp: PcpCache::new(pcp),
             stats: AllocStats::default(),
             tracer: Tracer::off(),
@@ -695,9 +695,10 @@ impl BuddyAllocator {
         self.tracer.buddy_free(0);
         if self.pcp.enabled() {
             self.pcp.push_free(mt, base.index());
-            // Drain overflow back into the buddy lists.
-            let overflow = self.pcp.drain_overflow(mt);
-            for page in overflow {
+            // Drain overflow back into the buddy lists, most recently
+            // cached page first.
+            for _ in 0..self.pcp.overflow(mt) {
+                let page = self.pcp.pop(mt).expect("overflow counts cached pages");
                 self.coalesce_and_insert(page, 0, mt);
             }
         } else {

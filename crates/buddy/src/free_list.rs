@@ -9,13 +9,13 @@
 //! LIFO reuse is load-bearing for the reproduction: Page Steering counts
 //! on the hypervisor re-using the sub-blocks the VM *just* released.
 
-use std::collections::HashMap;
+use hh_sim::hash::U64Map;
 
 /// LIFO free list of block base PFNs with O(1) push/pop/remove.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FreeList {
     stack: Vec<u64>,
-    index: HashMap<u64, usize>,
+    index: U64Map<usize>,
 }
 
 impl FreeList {

@@ -82,19 +82,15 @@ impl PcpCache {
         self.lists[mt.index()].push(base);
     }
 
-    /// Pages to return to the buddy lists once the high watermark is
-    /// crossed.
-    pub fn drain_overflow(&mut self, mt: MigrateType) -> Vec<u64> {
-        let list = &mut self.lists[mt.index()];
-        let mut out = Vec::new();
-        if list.len() > self.config.high {
-            for _ in 0..self.config.batch.min(list.len()) {
-                if let Some(b) = list.pop() {
-                    out.push(b);
-                }
-            }
+    /// How many pages to [`pop`](Self::pop) back to the buddy lists
+    /// once the high watermark is crossed: one batch, or nothing.
+    pub fn overflow(&self, mt: MigrateType) -> usize {
+        let len = self.lists[mt.index()].len();
+        if len > self.config.high {
+            self.config.batch.min(len)
+        } else {
+            0
         }
-        out
     }
 
     /// The cached pages of one migratetype lane, head-to-tail — the
@@ -129,10 +125,11 @@ mod tests {
         for i in 0..5 {
             pcp.push_free(MigrateType::Movable, i);
         }
-        let drained = pcp.drain_overflow(MigrateType::Movable);
-        assert_eq!(drained.len(), 2);
+        assert_eq!(pcp.overflow(MigrateType::Movable), 2);
+        assert_eq!(pcp.pop(MigrateType::Movable), Some(4));
+        assert_eq!(pcp.pop(MigrateType::Movable), Some(3));
         assert_eq!(pcp.pages(MigrateType::Movable), 3);
-        assert!(pcp.drain_overflow(MigrateType::Movable).is_empty());
+        assert_eq!(pcp.overflow(MigrateType::Movable), 0);
     }
 
     #[test]

@@ -291,3 +291,29 @@ fn committed_ckpt_v1_fixture_still_resumes() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The committed `tiny-campaign-v1` fixture, written by an earlier
+/// revision's release binary, is reproduced byte for byte: the
+/// determinism suites compare the code against itself, this pins the
+/// bytes across revisions of the allocator, vIOMMU and store paths.
+#[test]
+fn committed_tiny_campaign_v1_fixture_is_reproduced() {
+    let fixture = include_str!("../../../tests/fixtures/tiny-campaign-v1.ndjson");
+    let out = sim_stdout(&[
+        "campaign",
+        "--scenarios",
+        "tiny,tiny@gbhammer,tiny@balloon",
+        "--seeds",
+        "2",
+        "--attempts",
+        "3",
+        "--bits",
+        "12",
+        "--json",
+    ]);
+    assert_eq!(
+        String::from_utf8(out).expect("UTF-8"),
+        fixture,
+        "campaign NDJSON must match the committed tiny-campaign-v1 bytes"
+    );
+}

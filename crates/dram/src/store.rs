@@ -73,6 +73,28 @@ impl Page {
         }
     }
 
+    /// Turns the page into `fill` bytes with `word` written little-endian
+    /// at `offset` — the compact form [`Page::write`] would reach from
+    /// `Uniform(fill)`, patches in ascending offset order. A patch list
+    /// the page already owns is reused rather than reallocated.
+    fn reset_with_word(&mut self, fill: u8, offset: u16, word: u64) {
+        let mut diffs = match std::mem::replace(self, Page::Uniform(fill)) {
+            Page::Patched { mut diffs, .. } => {
+                diffs.clear();
+                diffs
+            }
+            _ => Vec::new(),
+        };
+        for (i, b) in word.to_le_bytes().into_iter().enumerate() {
+            if b != fill {
+                diffs.push((offset + i as u16, b));
+            }
+        }
+        if !diffs.is_empty() {
+            *self = Page::Patched { fill, diffs };
+        }
+    }
+
     fn densify(&mut self) {
         let mut bytes = Box::new([0u8; PAGE_SIZE as usize]);
         match self {
@@ -397,31 +419,29 @@ impl SparseStore {
     }
 
     /// Resets one whole page to `fill` and writes a little-endian `u64`
-    /// into its first eight bytes, in a single map operation — the
-    /// magic-stamping fast path (one stamp per 4 KiB page over many GiB).
+    /// at byte `offset` of it, in a single slot operation — the same
+    /// page as [`fill`](Self::fill) then [`write_u64`](Self::write_u64),
+    /// without transiting the diff representation eight times. Magic
+    /// stamping (one stamp per 4 KiB page over many GiB) and IOPT page
+    /// setup (a zeroed table with its first entry) take this path.
     ///
     /// # Panics
     ///
-    /// Panics if `page_base` is not page-aligned or outside the device.
-    pub fn reset_page_with_magic(&mut self, page_base: Hpa, fill: u8, magic: u64) {
+    /// Panics if `page_base` is not page-aligned or outside the device,
+    /// or if the word would leave the page.
+    pub fn reset_page_with_word(&mut self, page_base: Hpa, fill: u8, offset: u16, word: u64) {
         assert!(
             page_base.is_aligned(PAGE_SIZE),
-            "stamp needs page alignment"
+            "page reset needs page alignment"
+        );
+        assert!(
+            u64::from(offset) <= PAGE_SIZE - 8,
+            "word at offset {offset} leaves the page"
         );
         self.check(page_base, PAGE_SIZE);
-        let diffs: Vec<(u16, u8)> = magic
-            .to_le_bytes()
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, b)| b != fill)
-            .map(|(i, b)| (i as u16, b))
-            .collect();
-        let page = if diffs.is_empty() {
-            Page::Uniform(fill)
-        } else {
-            Page::Patched { fill, diffs }
-        };
-        self.set_slot(page_base.pfn().index(), page);
+        self.with_reset_slot(page_base.pfn().index(), |page| {
+            page.reset_with_word(fill, offset, word)
+        });
     }
 
     /// Copies `bytes` into memory starting at `hpa`, one slot lookup per
@@ -646,10 +666,25 @@ impl SparseStore {
 
     /// Replaces a slot wholesale.
     fn set_slot(&mut self, pfn: u64, page: Page) {
+        self.with_reset_slot(pfn, |slot| *slot = page);
+    }
+
+    /// Runs `reset` — which must overwrite the whole page, whatever it
+    /// held — on a slot. A page this store alone owns is reset in place,
+    /// keeping its allocation; an absent page, or one a fork still
+    /// shares, gets a fresh allocation and the sibling keeps the old
+    /// contents.
+    fn with_reset_slot(&mut self, pfn: u64, reset: impl FnOnce(&mut Page)) {
         let slot = &mut self.pages[pfn as usize];
+        if let Some(page) = slot.as_mut().and_then(Arc::get_mut) {
+            reset(page);
+            return;
+        }
         if slot.is_none() {
             self.resident += 1;
         }
+        let mut page = Page::Uniform(0);
+        reset(&mut page);
         *slot = Some(Arc::new(page));
     }
 }

@@ -146,3 +146,101 @@ fn u64_accessors_match_bytes() {
         assert_eq!(s.read_u64(Hpa::new(addr)), value);
     });
 }
+
+/// Puts page 0 of `mem` into one of the store's page forms: absent,
+/// uniform, patched or dense.
+fn shape_page(rng: &mut hh_sim::SimRng, mem: &mut SparseStore) -> &'static str {
+    let page = hh_sim::PAGE_SIZE;
+    match rng.gen_range(0u32..4) {
+        0 => "absent",
+        1 => {
+            mem.fill(Hpa::new(0), page, rng.gen_range(0u64..256) as u8);
+            "uniform"
+        }
+        2 => {
+            mem.fill(Hpa::new(0), page, rng.gen_range(0u64..256) as u8);
+            for _ in 0..rng.gen_range(1u64..40) {
+                let value = rng.gen_range(0u64..256) as u8;
+                mem.write_u8(Hpa::new(rng.gen_range(0..page)), value);
+            }
+            "patched"
+        }
+        _ => {
+            let mut bytes = Box::new([0u8; hh_sim::PAGE_SIZE as usize]);
+            rng.fill_bytes(bytes.as_mut_slice());
+            mem.write_page(Hpa::new(0), bytes);
+            "dense"
+        }
+    }
+}
+
+fn encoded(mem: &SparseStore) -> Vec<u8> {
+    let mut enc = hh_sim::snap::Enc::new();
+    mem.encode_into(&mut enc);
+    enc.into_bytes()
+}
+
+/// `reset_page_with_word` and whole-page `fill` give the same store, in
+/// memory and encoded, as a `fill` + `write_u64` sequence onto a page
+/// shared with a fork (which takes the fresh-allocation path), from
+/// every page form; a page a fork sibling shares is never touched.
+#[test]
+fn page_resets_equal_fill_then_write_from_every_page_form() {
+    check::cases(0xd4b0, check::DEFAULT_CASES, |rng| {
+        let page = hh_sim::PAGE_SIZE;
+        let mut mem = SparseStore::new(4 * page);
+        let form = shape_page(rng, &mut mem);
+        // Page 1 keeps an unrelated patch so a slot mix-up shows.
+        mem.write_u8(Hpa::new(page + 3), 0x7e);
+        let sibling = rng.gen_bool(0.5).then(|| mem.clone());
+        let sibling_bytes = sibling.as_ref().map(encoded);
+
+        let fill = if rng.gen_bool(0.3) {
+            0
+        } else {
+            rng.gen_range(0u64..256) as u8
+        };
+        let offset = rng.gen_range(0..page - 7);
+        // Some word bytes equal the fill, so the compact form must drop
+        // exactly those.
+        let word = u64::from_le_bytes(std::array::from_fn(|_| {
+            if rng.gen_bool(0.4) {
+                fill
+            } else {
+                rng.gen_range(0u64..256) as u8
+            }
+        }));
+
+        let mut reference = mem.clone();
+        let pin = reference.clone();
+        reference.fill(Hpa::new(0), page, fill);
+        reference.write_u64(Hpa::new(offset), word);
+        drop(pin);
+
+        let mut reset = mem.clone();
+        drop(mem);
+        reset.reset_page_with_word(Hpa::new(0), fill, offset as u16, word);
+        assert_eq!(reset, reference, "reset_page_with_word from a {form} page");
+        assert_eq!(encoded(&reset), encoded(&reference), "{form} page bytes");
+        assert_eq!(reset.resident_pages(), reference.resident_pages());
+
+        let mut filled = reset.clone();
+        let pin = filled.clone();
+        filled.fill(Hpa::new(0), page, fill);
+        let mut filled_in_place = pin;
+        drop(reset);
+        filled_in_place.fill(Hpa::new(0), page, fill);
+        assert_eq!(
+            filled, filled_in_place,
+            "whole-page fill after a {form} reset"
+        );
+
+        if let (Some(sibling), Some(bytes)) = (sibling, sibling_bytes) {
+            assert_eq!(
+                encoded(&sibling),
+                bytes,
+                "fork sibling of a {form} page changed"
+            );
+        }
+    });
+}

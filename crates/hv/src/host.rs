@@ -384,16 +384,23 @@ impl Host {
         self.buddy.free_page(pfn);
     }
 
-    /// Allocates a zeroed order-0 `MIGRATE_UNMOVABLE` page for an IOPT
-    /// table (§4.2.1: "these mappings are stored in order-0
-    /// MIGRATE_UNMOVABLE pages").
+    /// Allocates an order-0 `MIGRATE_UNMOVABLE` page for an IOPT table
+    /// (§4.2.1: "these mappings are stored in order-0 MIGRATE_UNMOVABLE
+    /// pages"), zeroed apart from its first entry: `entry` at byte
+    /// `offset`.
     ///
     /// # Errors
     ///
     /// [`HvError::OutOfHostMemory`] when the host is exhausted.
-    pub fn alloc_iopt_page(&mut self) -> Result<Pfn, HvError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry would leave the page.
+    pub fn alloc_iopt_page(&mut self, offset: u16, entry: u64) -> Result<Pfn, HvError> {
         let pfn = self.buddy.alloc_page(MigrateType::Unmovable)?;
-        self.dram.fill(pfn.base_hpa(), PAGE_SIZE, 0);
+        self.dram
+            .store_mut()
+            .reset_page_with_word(pfn.base_hpa(), 0, offset, entry);
         Ok(pfn)
     }
 

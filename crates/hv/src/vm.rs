@@ -518,14 +518,14 @@ impl Vm {
                     // One walk covers the rest of this chunk.
                     let store = host.dram_mut().store_mut();
                     for p in (0..span).step_by(PAGE_SIZE as usize) {
-                        store.reset_page_with_magic(t.hpa.add(p), fill, magic_of(gpa.add(p)));
+                        store.reset_page_with_word(t.hpa.add(p), fill, 0, magic_of(gpa.add(p)));
                     }
                     off += span;
                 }
                 MappingLevel::Page4K => {
                     host.dram_mut()
                         .store_mut()
-                        .reset_page_with_magic(t.hpa, fill, magic_of(gpa));
+                        .reset_page_with_word(t.hpa, fill, 0, magic_of(gpa));
                     off += PAGE_SIZE;
                 }
             }

@@ -152,3 +152,94 @@ fn viommu_no_leaks() {
         assert_eq!(host.buddy().free_pages(), free_before);
     });
 }
+
+/// Random map/unmap/destroy sequences on one IOMMU group, against a
+/// model of its live mappings: one IOPT page per window with a live
+/// mapping, every entry of every IOPT page in DRAM agrees with
+/// `translate`, and `destroy` gives every page back, in window order.
+#[test]
+fn viommu_windows_track_live_mappings() {
+    use hh_buddy::MigrateType;
+    use hh_hv::{HvError, IommuGroup};
+    use hh_sim::addr::{Hpa, Iova};
+    use std::collections::btree_map::{BTreeMap, Entry};
+
+    check::cases(0x4a10, CASES, |rng| {
+        let mut host = Host::new(HostConfig::small_test());
+        let free_at_start = host.buddy().free_pages();
+        let mut group = IommuGroup::new();
+        // IOVA page index → HPA; windows are spread far apart so their
+        // indices are sparse, as the attack's 2 MiB-strided IOVAs are.
+        let mut model: BTreeMap<u64, Hpa> = BTreeMap::new();
+        let windows: Vec<u64> = (0..6).map(|_| rng.gen_range(0u64..1 << 20)).collect();
+        let per_window = HUGE_PAGE_SIZE / PAGE_SIZE;
+        for _ in 0..rng.gen_range(1u64..120) {
+            let window = windows[rng.gen_range(0..windows.len() as u64) as usize];
+            let page = window * per_window + rng.gen_range(0u64..8);
+            let iova = Iova::new(page * PAGE_SIZE);
+            match rng.gen_range(0u32..20) {
+                0..=10 => {
+                    let hpa = Hpa::new(rng.gen_range(0u64..(256 << 20) / PAGE_SIZE) * PAGE_SIZE);
+                    let got = group.map(&mut host, iova, hpa);
+                    match model.entry(page) {
+                        Entry::Occupied(_) => {
+                            assert_eq!(got, Err(HvError::IovaAlreadyMapped(iova)));
+                        }
+                        Entry::Vacant(e) => {
+                            got.unwrap();
+                            e.insert(hpa);
+                        }
+                    }
+                }
+                11..=18 => {
+                    let got = group.unmap(&mut host, iova);
+                    if model.remove(&page).is_some() {
+                        got.unwrap();
+                    } else {
+                        assert_eq!(got, Err(HvError::IovaNotMapped(iova)));
+                    }
+                }
+                _ => {
+                    group.destroy(&mut host);
+                    model.clear();
+                    assert_eq!(host.buddy().free_pages(), free_at_start);
+                }
+            }
+            let live: std::collections::BTreeSet<u64> =
+                model.keys().map(|p| p / per_window).collect();
+            assert_eq!(group.iopt_page_count(), live.len());
+            assert_eq!(group.mapping_count(), model.len());
+            for &window in &live {
+                let base = Iova::new(window * HUGE_PAGE_SIZE);
+                let pt = group.iopt_page(base).expect("live window has a page");
+                for slot in 0..per_window {
+                    let iova = base.add(slot * PAGE_SIZE);
+                    let raw = host.dram().store().read_u64(pt.base_hpa().add(slot * 8));
+                    let want = group.translate(iova).map_or(0, |hpa| hpa.raw() | 0b11);
+                    assert_eq!(raw, want, "IOPT entry for {iova:?}");
+                }
+            }
+        }
+
+        // Teardown frees in window order: the PCP lane is LIFO, so the
+        // pages come back out in reverse window order.
+        let pts: Vec<_> = model
+            .keys()
+            .map(|p| p / per_window)
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .map(|w| group.iopt_page(Iova::new(w * HUGE_PAGE_SIZE)).unwrap())
+            .collect();
+        let lane = host.buddy().pagetypeinfo().pcp_pages[0];
+        assert!(
+            lane + pts.len() as u64 <= 512,
+            "no PCP drain during teardown"
+        );
+        group.destroy(&mut host);
+        assert_eq!(host.buddy().free_pages(), free_at_start);
+        assert_eq!(group.iopt_page_count(), 0);
+        for &pt in pts.iter().rev() {
+            assert_eq!(host.buddy_mut().alloc_page(MigrateType::Unmovable), Ok(pt));
+        }
+    });
+}

@@ -17,6 +17,8 @@
 //!   experiment is reproducible from a single seed.
 //! * [`check`] — a miniature deterministic property-testing harness built
 //!   on [`rng`].
+//! * [`hash`] — a keyed SplitMix64 hasher for the `u64`-keyed page
+//!   indexes on the allocator and vIOMMU hot paths.
 //! * [`snap`] — bounds-checked little-endian encode/decode primitives
 //!   for the versioned machine-snapshot format.
 //! * [`size`] — human-friendly byte sizes.
@@ -48,6 +50,7 @@
 pub mod addr;
 pub mod check;
 pub mod clock;
+pub mod hash;
 pub mod mem;
 pub mod rng;
 pub mod size;

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# Guard the committed perf baselines (BENCH_dram.json, BENCH_campaign.json).
+# Guard the committed perf baselines (BENCH_dram.json, BENCH_campaign.json,
+# BENCH_layers.json).
 #
-# Runs the dram_hammer and campaign_scaling benches in quick mode
-# (HH_BENCH_QUICK=1), captures their machine-readable reports via
-# HH_BENCH_JSON, and compares each against the committed baseline with
+# Runs the dram_hammer and campaign_scaling benches, and the per-layer
+# buddy_alloc and viommu_store benches, in quick mode (HH_BENCH_QUICK=1),
+# captures their machine-readable reports via HH_BENCH_JSON (the two
+# layer reports merged into one), and compares each against the
+# committed baseline with
 # `hyperhammer-sim bench-diff`. Exits non-zero when any bench regresses
 # beyond the tolerance or disappears from the current run; improvements
 # beyond the tolerance never fail, but print a re-baseline hint (a stale
@@ -52,19 +55,38 @@ bench_json() { # <bench target> <output path>
         cargo bench --offline --locked -p hh-bench --bench "$1"
 }
 
+# Concatenates the records of several reports (same schema and mode)
+# into one report on stdout, in argument order.
+merge_reports() { # <report>...
+    awk '
+        /^    \{"name"/ { sub(/,$/, ""); recs[n++] = $0; next }
+        NR == FNR && n == 0 { head = head $0 "\n" }
+        END {
+            printf "%s", head
+            for (i = 0; i < n; i++) printf "%s%s\n", recs[i], (i + 1 < n ? "," : "")
+            print "  ]"
+            print "}"
+        }' "$@"
+}
+
 bench_json dram_hammer "$tmpdir/BENCH_dram.json"
 bench_json campaign_scaling "$tmpdir/BENCH_campaign.json"
+bench_json buddy_alloc "$tmpdir/buddy_alloc.json"
+bench_json viommu_store "$tmpdir/viommu_store.json"
+merge_reports "$tmpdir/buddy_alloc.json" "$tmpdir/viommu_store.json" \
+    >"$tmpdir/BENCH_layers.json"
 
 if [ "$UPDATE" -eq 1 ]; then
-    cp "$tmpdir/BENCH_dram.json" BENCH_dram.json
-    cp "$tmpdir/BENCH_campaign.json" BENCH_campaign.json
+    for name in dram campaign layers; do
+        cp "$tmpdir/BENCH_${name}.json" "BENCH_${name}.json"
+    done
     echo "bench_diff: baselines rewritten — review and commit" \
-        "BENCH_dram.json BENCH_campaign.json"
+        "BENCH_dram.json BENCH_campaign.json BENCH_layers.json"
     exit 0
 fi
 
 status=0
-for name in dram campaign; do
+for name in dram campaign layers; do
     echo "==> bench-diff BENCH_${name}.json (tolerance ${TOLERANCE})"
     if ! ./target/release/hyperhammer-sim bench-diff \
         --baseline "BENCH_${name}.json" \
