@@ -75,6 +75,28 @@ fn bench_alloc_free(c: &mut Criterion) {
         )
     });
 
+    // The Page Steering drain and VM teardown shape: take every page of
+    // a `tiny`-sized zone one by one through the PCP, then give each
+    // back. Almost every allocation splits and almost every free merges.
+    group.bench_function("drain_teardown_512mib", |b| {
+        b.iter_batched_ref(
+            || {
+                let buddy = BuddyAllocator::with_pcp(frames(512), PcpConfig::standard());
+                let held = Vec::with_capacity(frames(512) as usize);
+                (buddy, held)
+            },
+            |(buddy, held)| {
+                while let Ok(p) = buddy.alloc_page(MigrateType::Unmovable) {
+                    held.push(p);
+                }
+                for p in held.drain(..) {
+                    buddy.free_page(p);
+                }
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
     group.finish();
 }
 

@@ -3,11 +3,10 @@
 use std::fmt;
 
 use hh_sim::addr::Pfn;
-use hh_sim::hash::U64Map;
 use hh_sim::snap::{Dec, Enc, SnapError};
 use hh_trace::Tracer;
 
-use crate::free_list::FreeList;
+use crate::frame_table::{FreeArea, FreeStacks};
 use crate::pcp::{PcpCache, PcpConfig};
 use crate::report::{OrderCounts, PageTypeInfo};
 use crate::MigrateType;
@@ -169,9 +168,13 @@ pub struct AllocStats {
 }
 
 /// A plain-data image of a [`BuddyAllocator`]'s state: frames, free
-/// lists, block indices, the allocated map, the PCP cache and lifetime
-/// stats — everything except the tracer handle and jitter source, which
-/// are per-instantiation concerns.
+/// lists, allocated blocks, the PCP cache and lifetime stats —
+/// everything except the tracer handle and jitter source, which are
+/// per-instantiation concerns.
+///
+/// The image is sparse: it lists blocks, not frames, so it costs memory
+/// in proportion to the blocks it holds and a restored allocator only
+/// materializes the per-frame chunks those blocks touch.
 ///
 /// Snapshots exist so campaign grids can pay for boot-time noise once
 /// per scenario and stamp out per-cell allocators with
@@ -182,9 +185,9 @@ pub struct AllocStats {
 #[derive(Debug, Clone)]
 pub struct BuddySnapshot {
     frames: u64,
-    free: [[FreeList; MAX_ORDER as usize]; 2],
-    free_index: U64Map<(u8, MigrateType)>,
-    allocated: U64Map<(u8, MigrateType)>,
+    free: FreeStacks,
+    /// `(base, order, mt)` of every allocated block, by ascending base.
+    allocated: Vec<(u64, u8, MigrateType)>,
     pcp: PcpCache,
     stats: AllocStats,
 }
@@ -195,31 +198,40 @@ impl BuddySnapshot {
         self.frames
     }
 
+    /// `(base, order, mt)` of every free block, by ascending base: the
+    /// free index of the encoding, derived from the free lists.
+    fn free_index(&self) -> Vec<(u64, u8, MigrateType)> {
+        let mut index: Vec<(u64, u8, MigrateType)> = Vec::new();
+        for mt in MigrateType::ALL {
+            for (order, list) in self.free[mt.index()].iter().enumerate() {
+                index.extend(list.iter().map(|&pfn| (pfn, order as u8, mt)));
+            }
+        }
+        index.sort_unstable_by_key(|e| e.0);
+        index
+    }
+
     /// Serializes the snapshot into the machine-snapshot byte stream.
     ///
     /// Free lists are written in stack order (bottom→top) so the LIFO
     /// reuse order — the property hammer-plan physical layout depends
-    /// on — survives the round trip. The two block indexes are hash
-    /// maps; their entries are sorted by base PFN so identical states
-    /// always produce identical bytes.
+    /// on — survives the round trip. Then come two block indexes, free
+    /// blocks and allocated blocks, each sorted by base PFN so identical
+    /// states always produce identical bytes; the free index repeats
+    /// what the lists say, which the decoder checks.
     pub fn encode_into(&self, enc: &mut Enc) {
         enc.u64(self.frames);
         for per_order in &self.free {
             for list in per_order {
                 enc.u64(list.len() as u64);
-                for pfn in list.iter() {
+                for &pfn in list {
                     enc.u64(pfn);
                 }
             }
         }
-        for map in [&self.free_index, &self.allocated] {
-            let mut entries: Vec<(u64, u8, MigrateType)> = map
-                .iter()
-                .map(|(&pfn, &(order, mt))| (pfn, order, mt))
-                .collect();
-            entries.sort_unstable_by_key(|e| e.0);
-            enc.u64(entries.len() as u64);
-            for (pfn, order, mt) in entries {
+        for index in [&self.free_index(), &self.allocated] {
+            enc.u64(index.len() as u64);
+            for &(pfn, order, mt) in index.iter() {
                 enc.u64(pfn);
                 enc.u8(order);
                 enc.u8(mt.index() as u8);
@@ -229,8 +241,9 @@ impl BuddySnapshot {
         enc.u64(pcp_config.high as u64);
         enc.u64(pcp_config.batch as u64);
         for mt in MigrateType::ALL {
-            enc.u64(self.pcp.lane_iter(mt).count() as u64);
-            for pfn in self.pcp.lane_iter(mt) {
+            let lane = self.pcp.lane(mt);
+            enc.u64(lane.len() as u64);
+            for &pfn in lane {
                 enc.u64(pfn);
             }
         }
@@ -250,37 +263,43 @@ impl BuddySnapshot {
 
     /// Decodes a snapshot written by [`BuddySnapshot::encode_into`].
     ///
+    /// Nothing is allocated in proportion to the zone size the stream
+    /// claims; all storage is bounded by the stream's own length.
+    ///
     /// # Errors
     ///
-    /// Typed [`SnapError`]s for truncation and structural corruption
-    /// (PFNs beyond the zone, duplicate free-list entries, unsorted
-    /// index keys, unknown migrate-type tags). Never panics on corrupt
-    /// input.
+    /// Typed [`SnapError`]s for truncation and structural corruption:
+    /// blocks reaching beyond the zone or misaligned for their order,
+    /// unsorted index keys, unknown migrate-type tags, any frame owned
+    /// twice (a PFN on two free lists or two PCP lanes, both free and
+    /// allocated, or inside another block), and a free index that
+    /// disagrees with the free lists. Never panics on corrupt input, so
+    /// an accepted snapshot restores an allocator that hands out every
+    /// frame at most once.
     pub fn decode(dec: &mut Dec<'_>) -> Result<Self, SnapError> {
         let frames = dec.u64()?;
         if frames == 0 {
             return Err(SnapError::Corrupt("zero-frame buddy zone"));
         }
-        let mut free: [[FreeList; MAX_ORDER as usize]; 2] = Default::default();
+        let fits = |pfn: u64, order: u8| pfn < frames && frames - pfn >= 1u64 << order;
+        let mut free: FreeStacks = Default::default();
         for per_order in free.iter_mut() {
-            for list in per_order.iter_mut() {
+            for (order, list) in per_order.iter_mut().enumerate() {
                 let count = dec.count(8)?;
+                list.reserve_exact(count);
                 for _ in 0..count {
                     let pfn = dec.u64()?;
-                    if pfn >= frames {
+                    if !fits(pfn, order as u8) {
                         return Err(SnapError::Corrupt("free-list pfn beyond zone"));
-                    }
-                    if list.contains(pfn) {
-                        return Err(SnapError::Corrupt("duplicate pfn on free list"));
                     }
                     list.push(pfn);
                 }
             }
         }
-        let mut maps: [U64Map<(u8, MigrateType)>; 2] = Default::default();
-        for map in maps.iter_mut() {
+        let mut indexes: [Vec<(u64, u8, MigrateType)>; 2] = Default::default();
+        for index in indexes.iter_mut() {
             let count = dec.count(10)?;
-            let mut last: Option<u64> = None;
+            index.reserve_exact(count);
             for _ in 0..count {
                 let pfn = dec.u64()?;
                 let order = dec.u8()?;
@@ -288,16 +307,18 @@ impl BuddySnapshot {
                 if order >= MAX_ORDER {
                     return Err(SnapError::Corrupt("block order beyond MAX_ORDER"));
                 }
-                if last.is_some_and(|prev| prev >= pfn) {
+                if index.last().is_some_and(|&(prev, _, _)| prev >= pfn) {
                     return Err(SnapError::Corrupt(
                         "block index keys not strictly increasing",
                     ));
                 }
-                last = Some(pfn);
-                map.insert(pfn, (order, mt));
+                if !fits(pfn, order) {
+                    return Err(SnapError::Corrupt("block index pfn beyond zone"));
+                }
+                index.push((pfn, order, mt));
             }
         }
-        let [free_index, allocated] = maps;
+        let [free_index, allocated] = indexes;
         let high = dec.u64()?;
         let batch = dec.u64()?;
         let mut pcp = PcpCache::new(PcpConfig {
@@ -310,9 +331,6 @@ impl BuddySnapshot {
                 let pfn = dec.u64()?;
                 if pfn >= frames {
                     return Err(SnapError::Corrupt("pcp pfn beyond zone"));
-                }
-                if pcp.contains(mt, pfn) {
-                    return Err(SnapError::Corrupt("duplicate pfn in pcp lane"));
                 }
                 pcp.push_free(mt, pfn);
             }
@@ -330,14 +348,71 @@ impl BuddySnapshot {
             pcp_hits: scalars[5],
             pcp_refills: scalars[6],
         };
-        Ok(Self {
+        let snap = Self {
             frames,
             free,
-            free_index,
             allocated,
             pcp,
             stats,
-        })
+        };
+        snap.check_ownership()?;
+        if snap.free_index() != free_index {
+            return Err(SnapError::Corrupt(
+                "free index disagrees with the free lists",
+            ));
+        }
+        Ok(snap)
+    }
+
+    /// Checks that every block is aligned to its order and that no frame
+    /// belongs to two owners: free blocks, allocated blocks and PCP
+    /// pages must tile disjoint frame ranges.
+    fn check_ownership(&self) -> Result<(), SnapError> {
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        enum Owner {
+            Free,
+            Allocated,
+            Pcp,
+        }
+        let mut spans: Vec<(u64, u8, Owner)> = Vec::new();
+        for per_order in &self.free {
+            for (order, list) in per_order.iter().enumerate() {
+                spans.extend(list.iter().map(|&pfn| (pfn, order as u8, Owner::Free)));
+            }
+        }
+        spans.extend(
+            self.allocated
+                .iter()
+                .map(|&(pfn, order, _)| (pfn, order, Owner::Allocated)),
+        );
+        for mt in MigrateType::ALL {
+            spans.extend(self.pcp.lane(mt).iter().map(|&pfn| (pfn, 0, Owner::Pcp)));
+        }
+        spans.sort_unstable();
+        // Sorted and disjoint so far, so the last span reaches furthest.
+        let mut last: Option<(u64, Owner)> = None;
+        for (pfn, order, owner) in spans {
+            if pfn & ((1u64 << order) - 1) != 0 {
+                return Err(SnapError::Corrupt("block misaligned for its order"));
+            }
+            if let Some((end, holder)) = last {
+                if pfn < end {
+                    return Err(SnapError::Corrupt(
+                        match (holder.min(owner), holder.max(owner)) {
+                            (Owner::Free, Owner::Free) => "pfn on two free lists",
+                            (Owner::Pcp, Owner::Pcp) => "pfn in two pcp lanes",
+                            (Owner::Free, Owner::Allocated) => "pfn both free and allocated",
+                            (Owner::Allocated, Owner::Allocated) => "overlapping allocated blocks",
+                            (Owner::Free, Owner::Pcp) => "pcp pfn inside a free block",
+                            (_, _) => "pcp pfn inside an allocated block",
+                        },
+                    ));
+                }
+            }
+            // Blocks fit the zone (checked while decoding): no overflow.
+            last = Some((pfn + (1u64 << order), owner));
+        }
+        Ok(())
     }
 }
 
@@ -356,14 +431,9 @@ fn mt_from_tag(tag: u8) -> Result<MigrateType, SnapError> {
 #[derive(Debug, Clone)]
 pub struct BuddyAllocator {
     frames: u64,
-    /// `free[migratetype][order]`.
-    free: [[FreeList; MAX_ORDER as usize]; 2],
-    /// Base PFN → (order, migratetype) of every free block, for O(1)
-    /// buddy lookup during coalescing.
-    free_index: U64Map<(u8, MigrateType)>,
-    /// Base PFN → (order, migratetype) of every allocated block, for
-    /// double-free detection and pinned-type accounting.
-    allocated: U64Map<(u8, MigrateType)>,
+    /// The free lists and the per-frame table: O(1) buddy lookup during
+    /// coalescing, double-free detection and pinned-type accounting.
+    area: FreeArea,
     pcp: PcpCache,
     stats: AllocStats,
     tracer: Tracer,
@@ -391,9 +461,7 @@ impl BuddyAllocator {
         assert!(frames > 0, "empty zone");
         let mut this = Self {
             frames,
-            free: Default::default(),
-            free_index: U64Map::default(),
-            allocated: U64Map::default(),
+            area: FreeArea::new(frames),
             pcp: PcpCache::new(pcp),
             stats: AllocStats::default(),
             tracer: Tracer::off(),
@@ -410,7 +478,7 @@ impl BuddyAllocator {
                 }
                 order -= 1;
             }
-            this.insert_free(base, order, MigrateType::Movable);
+            this.area.push(base, order, MigrateType::Movable);
             base += 1u64 << order;
         }
         this
@@ -422,9 +490,8 @@ impl BuddyAllocator {
     pub fn snapshot(&self) -> BuddySnapshot {
         BuddySnapshot {
             frames: self.frames,
-            free: self.free.clone(),
-            free_index: self.free_index.clone(),
-            allocated: self.allocated.clone(),
+            free: self.area.stacks().clone(),
+            allocated: self.area.allocated_blocks(),
             pcp: self.pcp.clone(),
             stats: self.stats,
         }
@@ -434,12 +501,16 @@ impl BuddyAllocator {
     /// snapshotted one apart from instrumentation: the restored
     /// allocator starts with [`Tracer::off`] and no jitter — attach
     /// both afterwards if needed.
+    ///
+    /// The per-frame table gets a directory entry for every 32 frames
+    /// of the snapshot's zone, so check [`BuddySnapshot::total_frames`]
+    /// against the expected geometry before restoring a decoded one.
     pub fn from_snapshot(snap: &BuddySnapshot) -> Self {
+        let mut area = FreeArea::new(snap.frames);
+        area.load(&snap.free, &snap.allocated);
         Self {
             frames: snap.frames,
-            free: snap.free.clone(),
-            free_index: snap.free_index.clone(),
-            allocated: snap.allocated.clone(),
+            area,
             pcp: snap.pcp.clone(),
             stats: snap.stats,
             tracer: Tracer::off(),
@@ -448,7 +519,7 @@ impl BuddyAllocator {
     }
 
     /// Restores the allocator's page state — free lists (including
-    /// their LIFO order), the free/allocated indexes and the per-CPU
+    /// their LIFO order), the free/allocated blocks and the per-CPU
     /// caches — to `snap`, keeping the live instrumentation (stats,
     /// tracer, jitter) untouched.
     ///
@@ -468,10 +539,8 @@ impl BuddyAllocator {
             self.frames, snap.frames,
             "free-state snapshot is from a different zone"
         );
-        self.free = snap.free.clone();
-        self.free_index = snap.free_index.clone();
-        self.allocated = snap.allocated.clone();
-        self.pcp = snap.pcp.clone();
+        self.area.load(&snap.free, &snap.allocated);
+        self.pcp.clone_from(&snap.pcp);
     }
 
     /// An order-sensitive digest of the free state: every free list's
@@ -488,17 +557,17 @@ impl BuddyAllocator {
             h ^= word;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         };
-        for (mt, per_order) in self.free.iter().enumerate() {
+        for (mt, per_order) in self.area.stacks().iter().enumerate() {
             for (order, list) in per_order.iter().enumerate() {
                 fold(0x1000_0000 | (mt as u64) << 8 | order as u64);
-                for pfn in list.iter() {
+                for &pfn in list {
                     fold(pfn);
                 }
             }
         }
         for mt in MigrateType::ALL {
             fold(0x2000_0000 | mt.index() as u64);
-            for pfn in self.pcp.lane_iter(mt) {
+            for &pfn in self.pcp.lane(mt) {
                 fold(pfn);
             }
         }
@@ -539,9 +608,7 @@ impl BuddyAllocator {
     pub fn fork(&self) -> Self {
         Self {
             frames: self.frames,
-            free: self.free.clone(),
-            free_index: self.free_index.clone(),
-            allocated: self.allocated.clone(),
+            area: self.area.clone(),
             pcp: self.pcp.clone(),
             stats: self.stats,
             tracer: Tracer::off(),
@@ -561,12 +628,7 @@ impl BuddyAllocator {
 
     /// Total free pages, including pages parked in the PCP cache.
     pub fn free_pages(&self) -> u64 {
-        let buddy: u64 = self
-            .free_index
-            .iter()
-            .map(|(_, &(order, _))| 1u64 << order)
-            .sum();
-        buddy + self.pcp.total_pages()
+        self.area.pages() + self.pcp.total_pages()
     }
 
     /// Allocates a block of `2^order` contiguous, aligned frames of the
@@ -585,7 +647,7 @@ impl BuddyAllocator {
             return Err(AllocError::OrderTooLarge { order });
         }
         let base = self.rmqueue(order, mt)?;
-        self.allocated.insert(base, (order, mt));
+        self.area.mark_allocated(base, order, mt);
         self.stats.allocs += 1;
         self.tracer.buddy_alloc(order);
         Ok(Pfn::new(base))
@@ -607,7 +669,7 @@ impl BuddyAllocator {
         }
         if let Some(base) = self.pcp.pop(mt) {
             self.stats.pcp_hits += 1;
-            self.allocated.insert(base, (0, mt));
+            self.area.mark_allocated(base, 0, mt);
             self.stats.allocs += 1;
             self.tracer.buddy_alloc(0);
             return Ok(Pfn::new(base));
@@ -630,7 +692,7 @@ impl BuddyAllocator {
             }
             if let Some(base) = self.pcp.pop(mt) {
                 self.stats.pcp_hits += 1;
-                self.allocated.insert(base, (0, mt));
+                self.area.mark_allocated(base, 0, mt);
                 self.stats.allocs += 1;
                 self.tracer.buddy_alloc(0);
                 return Ok(Pfn::new(base));
@@ -661,7 +723,7 @@ impl BuddyAllocator {
     /// [`FreeError::NotAllocated`] or [`FreeError::WrongOrder`] on
     /// contract violations.
     pub fn try_free(&mut self, base: Pfn, order: u8) -> Result<(), FreeError> {
-        let Some(&(allocated_order, mt)) = self.allocated.get(&base.index()) else {
+        let Some((allocated_order, mt)) = self.area.allocated(base.index()) else {
             return Err(FreeError::NotAllocated { base });
         };
         if allocated_order != order {
@@ -670,7 +732,7 @@ impl BuddyAllocator {
                 allocated_order,
             });
         }
-        self.allocated.remove(&base.index());
+        self.area.unmark_allocated(base.index());
         self.stats.frees += 1;
         self.tracer.buddy_free(order);
         self.coalesce_and_insert(base.index(), order, mt);
@@ -683,14 +745,14 @@ impl BuddyAllocator {
     ///
     /// Panics on double free or if the page was not allocated at order 0.
     pub fn free_page(&mut self, base: Pfn) {
-        let Some(&(allocated_order, mt)) = self.allocated.get(&base.index()) else {
+        let Some((allocated_order, mt)) = self.area.allocated(base.index()) else {
             panic!("freeing unallocated page at frame {base}");
         };
         assert_eq!(
             allocated_order, 0,
             "free_page on an order-{allocated_order} block"
         );
-        self.allocated.remove(&base.index());
+        self.area.unmark_allocated(base.index());
         self.stats.frees += 1;
         self.tracer.buddy_free(0);
         if self.pcp.enabled() {
@@ -714,12 +776,12 @@ impl BuddyAllocator {
     ///
     /// Panics if the block is not allocated at `order`.
     pub fn set_migrate_type(&mut self, base: Pfn, order: u8, mt: MigrateType) {
-        let entry = self
-            .allocated
-            .get_mut(&base.index())
+        let (allocated_order, _) = self
+            .area
+            .allocated(base.index())
             .unwrap_or_else(|| panic!("set_migrate_type on unallocated frame {base}"));
-        assert_eq!(entry.0, order, "order mismatch in set_migrate_type");
-        entry.1 = mt;
+        assert_eq!(allocated_order, order, "order mismatch in set_migrate_type");
+        self.area.mark_allocated(base.index(), order, mt);
     }
 
     /// Splits an *allocated* block into `2^order` individually allocated
@@ -731,13 +793,12 @@ impl BuddyAllocator {
     ///
     /// Panics if the block is not allocated at `order`.
     pub fn split_allocated(&mut self, base: Pfn, order: u8) {
-        let Some(&(allocated_order, mt)) = self.allocated.get(&base.index()) else {
+        let Some((allocated_order, mt)) = self.area.allocated(base.index()) else {
             panic!("split_allocated on unallocated frame {base}");
         };
         assert_eq!(allocated_order, order, "order mismatch in split_allocated");
-        self.allocated.remove(&base.index());
         for i in 0..1u64 << order {
-            self.allocated.insert(base.index() + i, (0, mt));
+            self.area.mark_allocated(base.index() + i, 0, mt);
         }
     }
 
@@ -749,7 +810,7 @@ impl BuddyAllocator {
         let mut info = PageTypeInfo::default();
         for mt in MigrateType::ALL {
             let counts = OrderCounts {
-                counts: std::array::from_fn(|order| self.free[mt.index()][order].len() as u64),
+                counts: std::array::from_fn(|order| self.area.list(mt, order).len() as u64),
             };
             match mt {
                 MigrateType::Unmovable => info.unmovable = counts,
@@ -767,23 +828,23 @@ impl BuddyAllocator {
     /// would consume *before* touching a released order-9 sub-block.
     pub fn small_order_free_pages(&self, mt: MigrateType) -> u64 {
         let buddy: u64 = (0..9)
-            .map(|order| (self.free[mt.index()][order].len() as u64) << order)
+            .map(|order| (self.area.list(mt, order).len() as u64) << order)
             .sum();
         buddy + self.pcp.pages(mt)
     }
 
     /// Returns `true` if a free block of exactly (base, order) exists.
     pub fn is_free_block(&self, base: Pfn, order: u8) -> bool {
-        self.free_index
-            .get(&base.index())
-            .is_some_and(|&(o, _)| o == order)
+        self.area
+            .free_block(base.index())
+            .is_some_and(|(o, _)| o == order)
     }
 
     /// Internal: smallest-first allocation with fallback stealing.
     fn rmqueue(&mut self, order: u8, mt: MigrateType) -> Result<u64, AllocError> {
         // 1. Own lists, smallest sufficient order first.
         for o in order..MAX_ORDER {
-            if let Some(base) = self.take_from_list(mt, o) {
+            if let Some(base) = self.area.pop(mt, o) {
                 self.expand(base, o, order, mt);
                 return Ok(base);
             }
@@ -792,7 +853,7 @@ impl BuddyAllocator {
         //    kernel steals big to reduce future fallbacks).
         let fb = mt.fallback();
         for o in (order..MAX_ORDER).rev() {
-            if let Some(base) = self.take_from_list(fb, o) {
+            if let Some(base) = self.area.pop(fb, o) {
                 self.stats.steals += 1;
                 // Stolen remainder joins the requesting type's lists.
                 self.expand(base, o, order, mt);
@@ -801,14 +862,6 @@ impl BuddyAllocator {
         }
         self.tracer.buddy_exhausted(order);
         Err(AllocError::OutOfMemory { order })
-    }
-
-    /// Pops a block from a specific (mt, order) list, maintaining the
-    /// index.
-    fn take_from_list(&mut self, mt: MigrateType, order: u8) -> Option<u64> {
-        let base = self.free[mt.index()][order as usize].pop()?;
-        self.free_index.remove(&base);
-        Some(base)
     }
 
     /// Splits `base` (a block of `from_order`) down to `to_order`,
@@ -820,36 +873,25 @@ impl BuddyAllocator {
             self.stats.splits += 1;
             self.tracer.buddy_split(order + 1);
             let upper = base + (1u64 << order);
-            self.insert_free(upper, order, mt);
+            self.area.push(upper, order, mt);
         }
     }
 
     /// Frees with maximal buddy coalescing.
     fn coalesce_and_insert(&mut self, mut base: u64, mut order: u8, mt: MigrateType) {
         while order < MAX_ORDER - 1 {
-            let buddy = base ^ (1u64 << order);
-            let Some(&(buddy_order, buddy_mt)) = self.free_index.get(&buddy) else {
-                break;
-            };
             // The kernel merges across migration types (the merged block
             // takes the type of the page being freed); requiring equal
             // order is the buddy invariant.
-            if buddy_order != order {
+            if self.area.take(base ^ (1u64 << order), order).is_none() {
                 break;
             }
-            self.free_index.remove(&buddy);
-            self.free[buddy_mt.index()][order as usize].remove(buddy);
             self.stats.merges += 1;
             self.tracer.buddy_merge(order + 1);
             base &= !(1u64 << order);
             order += 1;
         }
-        self.insert_free(base, order, mt);
-    }
-
-    fn insert_free(&mut self, base: u64, order: u8, mt: MigrateType) {
-        self.free[mt.index()][order as usize].push(base);
-        self.free_index.insert(base, (order, mt));
+        self.area.push(base, order, mt);
     }
 }
 
@@ -1221,5 +1263,332 @@ mod tests {
         let info = b.pagetypeinfo();
         let max_blocks = info.unmovable.counts[10] + info.movable.counts[10];
         assert_eq!(max_blocks, frames(8) >> 10);
+    }
+
+    /// Encodes a snapshot stream field by field, so tests can state
+    /// inconsistent images the allocator itself never produces.
+    fn raw_stream(
+        frames: u64,
+        free: &[(MigrateType, u8, &[u64])],
+        free_index: &[(u64, u8, MigrateType)],
+        allocated: &[(u64, u8, MigrateType)],
+        pcp: [&[u64]; 2],
+    ) -> Vec<u8> {
+        let mut enc = Enc::new();
+        enc.u64(frames);
+        for mt in MigrateType::ALL {
+            for order in 0..MAX_ORDER {
+                let list: &[u64] = free
+                    .iter()
+                    .find(|&&(m, o, _)| m == mt && o == order)
+                    .map_or(&[], |&(_, _, l)| l);
+                enc.u64(list.len() as u64);
+                for &pfn in list {
+                    enc.u64(pfn);
+                }
+            }
+        }
+        for index in [free_index, allocated] {
+            enc.u64(index.len() as u64);
+            for &(pfn, order, mt) in index {
+                enc.u64(pfn);
+                enc.u8(order);
+                enc.u8(mt.index() as u8);
+            }
+        }
+        let config = PcpConfig::standard();
+        enc.u64(config.high as u64);
+        enc.u64(config.batch as u64);
+        for lane in pcp {
+            enc.u64(lane.len() as u64);
+            for &pfn in lane {
+                enc.u64(pfn);
+            }
+        }
+        for _ in 0..7 {
+            enc.u64(0);
+        }
+        enc.into_bytes()
+    }
+
+    fn decode_err(bytes: &[u8]) -> Option<SnapError> {
+        BuddySnapshot::decode(&mut Dec::new(bytes)).err()
+    }
+
+    /// Regression: PFN 0 on both the unmovable and the movable order-10
+    /// list once decoded cleanly, and the restored allocator handed out
+    /// `Pfn(0)` twice across five order-10 allocations.
+    #[test]
+    fn pfn_on_two_free_lists_is_rejected() {
+        use MigrateType::{Movable, Unmovable};
+        let bytes = raw_stream(
+            frames(16),
+            &[(Movable, 10, &[3072, 2048, 1024, 0]), (Unmovable, 10, &[0])],
+            &[
+                (0, 10, Movable),
+                (1024, 10, Movable),
+                (2048, 10, Movable),
+                (3072, 10, Movable),
+            ],
+            &[],
+            [&[], &[]],
+        );
+        assert_eq!(
+            decode_err(&bytes),
+            Some(SnapError::Corrupt("pfn on two free lists"))
+        );
+    }
+
+    #[test]
+    fn every_double_ownership_and_index_lie_is_a_typed_error() {
+        use MigrateType::{Movable, Unmovable};
+        let zone = frames(8); // two order-10 blocks: 0 and 1024
+        let index = [(0, 10, Movable), (1024, 10, Movable)];
+        let lists: &[(MigrateType, u8, &[u64])] = &[(Movable, 10, &[0, 1024])];
+        // The consistent image decodes.
+        let good = raw_stream(zone, lists, &index, &[], [&[], &[]]);
+        assert_eq!(decode_err(&good), None);
+
+        let cases: [(Vec<u8>, &str); 9] = [
+            (
+                raw_stream(
+                    zone,
+                    &[(Movable, 10, &[1024])],
+                    &[(1024, 10, Movable)],
+                    &[],
+                    [&[7], &[7]],
+                ),
+                "pfn in two pcp lanes",
+            ),
+            (
+                raw_stream(zone, lists, &index, &[(1024, 0, Unmovable)], [&[], &[]]),
+                "pfn both free and allocated",
+            ),
+            (
+                raw_stream(zone, lists, &index, &[], [&[], &[1500]]),
+                "pcp pfn inside a free block",
+            ),
+            (
+                raw_stream(
+                    zone,
+                    &[(Movable, 10, &[1024])],
+                    &[(1024, 10, Movable)],
+                    &[(0, 9, Movable)],
+                    [&[], &[3]],
+                ),
+                "pcp pfn inside an allocated block",
+            ),
+            (
+                raw_stream(
+                    zone,
+                    &[(Movable, 10, &[1024])],
+                    &[(1024, 10, Movable)],
+                    &[(0, 9, Movable), (256, 0, Movable)],
+                    [&[], &[]],
+                ),
+                "overlapping allocated blocks",
+            ),
+            (
+                raw_stream(
+                    zone,
+                    &[(Movable, 10, &[1024])],
+                    &[(1024, 10, Movable)],
+                    &[(zone, 0, Movable)],
+                    [&[], &[]],
+                ),
+                "block index pfn beyond zone",
+            ),
+            (
+                raw_stream(zone, lists, &[(0, 10, Movable)], &[], [&[], &[]]),
+                "free index disagrees with the free lists",
+            ),
+            (
+                raw_stream(
+                    zone,
+                    lists,
+                    &[(0, 10, Movable), (1024, 10, Unmovable)],
+                    &[],
+                    [&[], &[]],
+                ),
+                "free index disagrees with the free lists",
+            ),
+            (
+                raw_stream(
+                    zone,
+                    &[(Movable, 10, &[1024]), (Movable, 9, &[256])],
+                    &[(256, 9, Movable), (1024, 10, Movable)],
+                    &[],
+                    [&[], &[]],
+                ),
+                "block misaligned for its order",
+            ),
+        ];
+        for (bytes, why) in cases {
+            assert_eq!(decode_err(&bytes), Some(SnapError::Corrupt(why)), "{why}");
+        }
+    }
+
+    #[test]
+    fn the_zone_size_word_allocates_nothing_by_itself() {
+        // A stream claiming a 2^60-frame zone decodes without reserving
+        // anything in proportion to it, so a caller can reject the size
+        // (as `Host::from_snapshot_state` does against the geometry)
+        // before `from_snapshot` builds the table.
+        let bytes = raw_stream(1 << 60, &[], &[], &[], [&[], &[]]);
+        let snap = BuddySnapshot::decode(&mut Dec::new(&bytes)).unwrap();
+        assert_eq!(snap.total_frames(), 1 << 60);
+    }
+
+    /// Any mutation of a real snapshot either fails to decode or
+    /// restores an allocator in which every frame has at most one owner
+    /// and which never hands the same frame out twice.
+    #[test]
+    fn mutated_snapshots_error_or_restore_single_ownership() {
+        let zone = frames(4);
+        let mut b = BuddyAllocator::new(zone);
+        let mut held = Vec::new();
+        for order in [0u8, 3, 0, 1, 0, 2] {
+            held.push(b.alloc(order, MigrateType::Unmovable).unwrap());
+        }
+        let thp = b.alloc(9, MigrateType::Movable).unwrap();
+        b.split_allocated(thp, 9);
+        let pages: Vec<Pfn> = (0..20)
+            .map(|_| b.alloc_page(MigrateType::Movable).unwrap())
+            .collect();
+        for &p in pages.iter().step_by(3) {
+            b.free_page(p);
+        }
+        let snap = b.snapshot();
+        let mut enc = Enc::new();
+        snap.encode_into(&mut enc);
+        let pristine = enc.into_bytes();
+
+        let (mut accepted, mut rejected) = (0, 0);
+        hh_sim::check::cases(0xb0de, 512, |rng| {
+            let pick_mt = |rng: &mut hh_sim::rng::SimRng| MigrateType::ALL[rng.gen_range(0..2)];
+            let bytes = if rng.gen_bool(0.3) {
+                // Byte-level damage anywhere in the stream.
+                let mut bytes = pristine.clone();
+                let at = rng.gen_range(0..bytes.len() - 8);
+                match rng.gen_range(0u32..3) {
+                    0 => bytes[at] ^= 1 << rng.gen_range(0u32..8),
+                    1 => {
+                        let word = rng.gen_range(0..zone + 2);
+                        bytes[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                    }
+                    _ => {
+                        let from = rng.gen_range(0..bytes.len() - 8);
+                        bytes.copy_within(from..from + 8, at);
+                    }
+                }
+                bytes
+            } else {
+                // Structural damage that keeps the stream well formed:
+                // blocks added, dropped, moved or duplicated, with a
+                // free index that usually agrees with the lists.
+                let mut free = snap.free.clone();
+                let mut allocated = snap.allocated.clone();
+                let mut pcp = MigrateType::ALL.map(|mt| snap.pcp.lane(mt).to_vec());
+                for _ in 0..rng.gen_range(1usize..3) {
+                    let order = rng.gen_range(0..MAX_ORDER);
+                    let base = rng.gen_range(0..zone) & !((1u64 << order) - 1);
+                    let mt = pick_mt(rng);
+                    let list = &mut free[mt.index()][order as usize];
+                    match rng.gen_range(0u32..6) {
+                        0 => list.push(base),
+                        1 => pcp[mt.index()].push(base),
+                        2 => allocated.push((base, order, mt)),
+                        3 if !list.is_empty() => {
+                            let at = rng.gen_range(0..list.len());
+                            list.remove(at);
+                        }
+                        4 if !list.is_empty() => {
+                            let at = rng.gen_range(0..list.len());
+                            let moved = list.remove(at);
+                            free[mt.fallback().index()][order as usize].push(moved);
+                        }
+                        5 if !list.is_empty() => {
+                            let dup = list[rng.gen_range(0..list.len())];
+                            if rng.gen_bool(0.5) {
+                                pcp[mt.index()].push(dup);
+                            } else {
+                                free[mt.fallback().index()][order as usize].push(dup);
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                allocated.sort_unstable_by_key(|e| e.0);
+                allocated.dedup_by_key(|e| e.0);
+                let mut index = BuddySnapshot {
+                    free: free.clone(),
+                    ..snap.clone()
+                }
+                .free_index();
+                index.dedup_by_key(|e| e.0);
+                if rng.gen_bool(0.2) {
+                    index = snap.free_index();
+                }
+                let mut lists = Vec::new();
+                for mt in MigrateType::ALL {
+                    for (order, list) in free[mt.index()].iter().enumerate() {
+                        lists.push((mt, order as u8, list.as_slice()));
+                    }
+                }
+                raw_stream(zone, &lists, &index, &allocated, [&pcp[0], &pcp[1]])
+            };
+            let Ok(decoded) = BuddySnapshot::decode(&mut Dec::new(&bytes)) else {
+                rejected += 1;
+                return;
+            };
+            accepted += 1;
+            let mut restored = BuddyAllocator::from_snapshot(&decoded);
+            let mut owners = vec![0u8; zone as usize];
+            let mut own = |base: u64, order: u8| {
+                for f in base..base + (1 << order) {
+                    owners[f as usize] += 1;
+                }
+            };
+            for mt in MigrateType::ALL {
+                for order in 0..MAX_ORDER {
+                    for &base in restored.area.list(mt, order as usize) {
+                        own(base, order);
+                    }
+                }
+                for &pfn in restored.pcp.lane(mt) {
+                    own(pfn, 0);
+                }
+            }
+            let allocated = restored.area.allocated_blocks();
+            for &(base, order, _) in &allocated {
+                own(base, order);
+            }
+            assert!(owners.iter().all(|&n| n <= 1), "a frame has two owners");
+            // Drain every free frame: each comes out once, never from
+            // inside an allocated block, and the count matches.
+            let free = restored.free_pages();
+            let mut handed = vec![false; zone as usize];
+            for &(base, order, _) in &allocated {
+                handed[base as usize..(base + (1 << order)) as usize].fill(true);
+            }
+            let mut drained = 0;
+            loop {
+                let p = match restored.alloc_page(MigrateType::Movable) {
+                    Ok(p) => p,
+                    Err(_) => match restored.alloc(0, MigrateType::Unmovable) {
+                        Ok(p) => p,
+                        Err(_) => break,
+                    },
+                };
+                assert!(!handed[p.index() as usize], "frame {p} handed out twice");
+                handed[p.index() as usize] = true;
+                drained += 1;
+            }
+            assert_eq!(drained, free);
+        });
+        assert!(
+            accepted > 100 && rejected > 100,
+            "accepted {accepted}, rejected {rejected}"
+        );
     }
 }

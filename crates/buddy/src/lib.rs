@@ -20,6 +20,39 @@
 //! dynamics (Figure 3) *emerge* from allocator behaviour instead of being
 //! scripted.
 //!
+//! # Metadata layout
+//!
+//! Every alloc and free goes through a per-frame table, not a hash map.
+//! An entry is a tag byte (free or allocated, order, migratetype) plus
+//! the `u32` position of a free block in its free-list stack, so buddy
+//! lookup, coalescing removal and double-free detection are each one
+//! array access. Free lists and PCP lanes are plain `Vec<u64>` stacks
+//! with the kernel's LIFO order. The free-page count is kept as blocks
+//! come and go.
+//!
+//! Entries sit in 32-frame chunks that are only allocated once a frame
+//! in them is written, handed out from fixed 5 KiB slabs. A campaign
+//! builds one allocator per cell, so memory per allocator matters as
+//! much as speed. On the `server_micro` workload (a campaign server
+//! running `micro` cells) these designs were measured (the first two
+//! rows over six alternating pairs, the last two on earlier prototypes):
+//!
+//! | design | server peak RSS |
+//! |---|---|
+//! | hash maps (before) | 11.2–11.7 MiB |
+//! | 32-frame chunks in 5 KiB slabs (this one) | 11.2–11.6 MiB |
+//! | 32-frame chunks in 10 KiB slabs | 11.1–13.0 MiB |
+//! | 64-frame chunks in one doubling `Vec`, one `Box` each or 20 KiB slabs | 11.3–13.0 MiB |
+//! | flat per-frame `Vec`s sized by the zone | 12.9–14.4 MiB |
+//! | `Arc`-shared 1024-frame copy-on-write chunks | 14.2–14.4 MiB |
+//!
+//! Arrays sized by the zone cost 320 KiB per `micro` cell whether used
+//! or not; glibc's per-thread arenas then keep that memory after the
+//! cell ends. Same-size slabs are reused cell after cell instead.
+//! [`BuddySnapshot`] is sparse (free lists, allocated blocks, PCP
+//! lanes), so a campaign template stays small and a restored `micro`
+//! allocator touches only the chunks its blocks live in.
+//!
 //! # Example
 //!
 //! ```
@@ -39,7 +72,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod allocator;
-mod free_list;
+mod frame_table;
 mod pcp;
 mod report;
 

@@ -6,7 +6,6 @@
 //! before released sub-blocks are reused, so the cache is modelled
 //! explicitly (single CPU — the paper's attack pins one vCPU anyway).
 
-use crate::free_list::FreeList;
 use crate::MigrateType;
 
 /// PCP sizing parameters.
@@ -40,11 +39,12 @@ impl Default for PcpConfig {
     }
 }
 
-/// The cache itself: one LIFO list per migration type.
+/// The cache itself: one LIFO stack per migration type. Pages only
+/// ever enter and leave at the top, so the lanes need no index.
 #[derive(Debug, Clone)]
 pub(crate) struct PcpCache {
     config: PcpConfig,
-    lists: [FreeList; 2],
+    lists: [Vec<u64>; 2],
 }
 
 impl PcpCache {
@@ -62,12 +62,6 @@ impl PcpCache {
     /// The sizing parameters the cache was built with (snapshot hook).
     pub fn config(&self) -> PcpConfig {
         self.config
-    }
-
-    /// Whether `base` is parked in the given lane (snapshot decoding
-    /// rejects duplicate entries before pushing them).
-    pub fn contains(&self, mt: MigrateType, base: u64) -> bool {
-        self.lists[mt.index()].contains(base)
     }
 
     pub fn batch(&self) -> usize {
@@ -93,11 +87,11 @@ impl PcpCache {
         }
     }
 
-    /// The cached pages of one migratetype lane, head-to-tail — the
+    /// The cached pages of one migratetype lane, bottom to top — the
     /// order [`free_state_digest`](crate::BuddyAllocator::free_state_digest)
     /// folds them in.
-    pub fn lane_iter(&self, mt: MigrateType) -> impl Iterator<Item = u64> + '_ {
-        self.lists[mt.index()].iter()
+    pub fn lane(&self, mt: MigrateType) -> &[u64] {
+        &self.lists[mt.index()]
     }
 
     pub fn pages(&self, mt: MigrateType) -> u64 {

@@ -3,10 +3,10 @@
 # BENCH_layers.json).
 #
 # Runs the dram_hammer and campaign_scaling benches, and the per-layer
-# buddy_alloc and viommu_store benches, in quick mode (HH_BENCH_QUICK=1),
-# captures their machine-readable reports via HH_BENCH_JSON (the two
-# layer reports merged into one), and compares each against the
-# committed baseline with
+# buddy_alloc, viommu_store, ept_walk and attack_stages benches, in quick
+# mode (HH_BENCH_QUICK=1), captures their machine-readable reports via
+# HH_BENCH_JSON (the four layer reports merged into one), and compares
+# each against the committed baseline with
 # `hyperhammer-sim bench-diff`. Exits non-zero when any bench regresses
 # beyond the tolerance or disappears from the current run; improvements
 # beyond the tolerance never fail, but print a re-baseline hint (a stale
@@ -73,7 +73,10 @@ bench_json dram_hammer "$tmpdir/BENCH_dram.json"
 bench_json campaign_scaling "$tmpdir/BENCH_campaign.json"
 bench_json buddy_alloc "$tmpdir/buddy_alloc.json"
 bench_json viommu_store "$tmpdir/viommu_store.json"
+bench_json ept_walk "$tmpdir/ept_walk.json"
+bench_json attack_stages "$tmpdir/attack_stages.json"
 merge_reports "$tmpdir/buddy_alloc.json" "$tmpdir/viommu_store.json" \
+    "$tmpdir/ept_walk.json" "$tmpdir/attack_stages.json" \
     >"$tmpdir/BENCH_layers.json"
 
 if [ "$UPDATE" -eq 1 ]; then
